@@ -90,12 +90,13 @@ def _parse_elements(entry, words: list[str]):
 def cmd_growth(args) -> int:
     entry = _load(args.spec)
     table = enumerate_balls(entry.spec, entry.default_genset, args.nmax,
-                            budget=args.budget, workers=args.workers)
+                            budget=args.budget)
     csv_text = growth_table_csv(table)
     report = _provenance(entry, args)
     report["sphere"] = list(table.sphere)
     report["ball"] = list(table.ball)
     report["truncated"] = table.truncated
+    report["level_seconds"] = list(table.timings)
     if table.nmax >= 2:
         est = rate_estimates(table)
         report["root_estimate"] = est.root_estimate
@@ -116,8 +117,6 @@ def cmd_growth(args) -> int:
             fh.write(csv_text)
         if args.format == "json":
             _emit(report, args.out + ".json")
-        else:
-            _emit(report, None)
     elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_growth)
 

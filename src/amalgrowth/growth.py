@@ -1,16 +1,16 @@
 """Exhaustive Cayley-ball enumeration and growth-rate estimates.
 
-Breadth-first closure under right multiplication by S (inverses adjoined by
-default), deduplicated by the canonical normal-form key, so all counts are
-exact.  Expansion is level-synchronous; optional worker threads split each
-level into chunks whose results are merged in a fixed order, so counts and
-element ordering are identical for any worker count.
+One breadth-first engine, `_levels`, closes the identity under right
+multiplication by a list of letters (inverses adjoined by default) and yields
+each sphere in discovery order, deduplicated by the canonical normal-form key,
+so all counts are exact and every run is deterministic.  Ball tables, sphere
+streams, geodesic words, subgroup closures and generation checks are all
+consumers of it; it runs on one thread.
 """
 from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .amalgam import AmalgamSpec, NormalForm, identity_nf, invert, is_identity, multiply
@@ -55,44 +55,39 @@ class GrowthTable:
     generators: tuple[str, ...]
 
 
-def _letters(spec: AmalgamSpec, gens: GenSet, include_inverses: bool) -> list[NormalForm]:
-    letters: list[NormalForm] = []
+def _named_letters(spec: AmalgamSpec, gens: GenSet,
+                   include_inverses: bool) -> list[tuple[str, NormalForm]]:
+    """(name, element) letters: the generators, then the inverses that are
+    not already letters, named with a ^-1 suffix."""
+    named: list[tuple[str, NormalForm]] = []
     seen = set()
-    for g in gens.elements:
+    candidates = list(zip(gens.names, gens.elements))
+    if include_inverses:
+        candidates += [(n + "^-1", invert(spec, g)) for n, g in candidates]
+    for name, g in candidates:
         if g.key() not in seen:
             seen.add(g.key())
-            letters.append(g)
-    if include_inverses:
-        for g in gens.elements:
-            gi = invert(spec, g)
-            if gi.key() not in seen:
-                seen.add(gi.key())
-                letters.append(gi)
-    return letters
+            named.append((name, g))
+    return named
 
 
-def _expand_chunk(spec: AmalgamSpec, chunk: list[NormalForm],
-                  letters: list[NormalForm]) -> list[NormalForm]:
-    out = []
-    mul = multiply
-    for x in chunk:
-        for l in letters:
-            out.append(mul(spec, x, l))
-    return out
+def _levels(spec: AmalgamSpec, letters: list[NormalForm],
+            budget: int | None = None):
+    """Yield the spheres of the Cayley graph of `letters`, starting with the
+    radius-0 sphere [identity]: each as a list in discovery order (frontier
+    order, then letter order), holding the right products not seen at any
+    smaller radius.
 
-
-def sphere_stream(spec: AmalgamSpec, gens: GenSet, *,
-                  include_inverses: bool = True,
-                  budget: int = DEFAULT_BUDGET):
-    """Yield successive sphere counts (starting with 1 for radius 0),
-    stopping silently at the element budget or when a sphere is empty."""
-    letters = _letters(spec, gens, include_inverses)
+    An empty sphere is yielded once and ends the iteration.  With a budget,
+    iteration stops silently before a level whose worst case
+    len(seen) + len(frontier) * len(letters) would exceed it.
+    """
     ident = identity_nf(spec)
     seen = {ident.key()}
     frontier = [ident]
-    yield 1
+    yield frontier
     while frontier:
-        if len(seen) + len(frontier) * len(letters) > budget:
+        if budget is not None and len(seen) + len(frontier) * len(letters) > budget:
             return
         nxt = []
         for x in frontier:
@@ -102,16 +97,25 @@ def sphere_stream(spec: AmalgamSpec, gens: GenSet, *,
                 if k not in seen:
                     seen.add(k)
                     nxt.append(y)
-        if not nxt:
-            return
-        yield len(nxt)
+        yield nxt
         frontier = nxt
+
+
+def sphere_stream(spec: AmalgamSpec, gens: GenSet, *,
+                  include_inverses: bool = True,
+                  budget: int = DEFAULT_BUDGET):
+    """Yield successive sphere counts (starting with 1 for radius 0),
+    stopping silently at the element budget or when a sphere is empty."""
+    letters = [g for _, g in _named_letters(spec, gens, include_inverses)]
+    for sphere in _levels(spec, letters, budget):
+        if not sphere:
+            return
+        yield len(sphere)
 
 
 def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
                     include_inverses: bool = True,
-                    budget: int = DEFAULT_BUDGET,
-                    workers: int = 1) -> GrowthTable:
+                    budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Exact sphere and ball counts up to radius nmax.
 
     If the element budget would be exceeded the table is truncated at the last
@@ -119,40 +123,22 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    letters = _letters(spec, gens, include_inverses)
-    ident = identity_nf(spec)
-    seen = {ident.key()}
-    frontier = [ident]
+    letters = [g for _, g in _named_letters(spec, gens, include_inverses)]
+    levels = _levels(spec, letters, budget)
+    next(levels)
     sphere = [1]
     timings = [0.0]
     truncated = False
     for _ in range(nmax):
         t0 = time.perf_counter()
-        if len(seen) + len(frontier) * len(letters) > budget:
+        nxt = next(levels, None)
+        if nxt is None:
             truncated = True
-            break
-        if workers > 1 and len(frontier) > 4 * workers:
-            size = (len(frontier) + workers - 1) // workers
-            chunks = [frontier[i:i + size] for i in range(0, len(frontier), size)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                produced = list(pool.map(
-                    lambda ch: _expand_chunk(spec, ch, letters), chunks))
-            candidates = [x for part in produced for x in part]
-        else:
-            candidates = _expand_chunk(spec, frontier, letters)
-        nxt = []
-        for x in candidates:
-            k = x.key()
-            if k not in seen:
-                seen.add(k)
-                nxt.append(x)
-        if not nxt:
-            sphere.append(0)
-            timings.append(time.perf_counter() - t0)
             break
         sphere.append(len(nxt))
         timings.append(time.perf_counter() - t0)
-        frontier = nxt
+        if not nxt:
+            break
     ball = []
     acc = 0
     for s in sphere:
@@ -210,40 +196,30 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
 
     Letter names carry a ^-1 suffix for inverse letters.
     """
-    named: list[tuple[str, NormalForm]] = list(zip(gens.names, gens.elements))
-    if include_inverses:
-        have = {x.key() for _, x in named}
-        for name, x in zip(gens.names, gens.elements):
-            xi = invert(spec, x)
-            if xi.key() not in have:
-                have.add(xi.key())
-                named.append((name + "^-1", xi))
-    ident = identity_nf(spec)
-    target = g.key()
-    if target == ident.key():
+    if is_identity(spec, g):
         return (0, [])
-    parent: dict[tuple, tuple[tuple, str]] = {ident.key(): None}
-    frontier = [ident]
-    for _ in range(nmax):
-        nxt = []
-        for x in frontier:
-            for name, l in named:
-                y = multiply(spec, x, l)
-                k = y.key()
-                if k not in parent:
-                    parent[k] = (x.key(), name)
-                    if k == target:
-                        word = []
-                        while parent[k] is not None:
-                            k, nm = parent[k]
-                            word.append(nm)
-                        word.reverse()
-                        return (len(word), word)
-                    nxt.append(y)
-        if not nxt:
-            return None
-        frontier = nxt
-    return None
+    named = _named_letters(spec, gens, include_inverses)
+    target = g.key()
+    spheres: list[dict[tuple, int]] = []
+    for n, sphere in zip(range(nmax + 1), _levels(spec, [l for _, l in named])):
+        spheres.append({x.key(): i for i, x in enumerate(sphere)})
+        if target in spheres[-1]:
+            break
+    else:
+        return None
+    # walk back: the predecessor first discovered in the previous sphere,
+    # i.e. the smallest (index there, letter index)
+    inverses = [invert(spec, l) for _, l in named]
+    word = []
+    y = g
+    for prev in reversed(spheres[:-1]):
+        preds = [multiply(spec, y, li) for li in inverses]
+        _, j = min((prev[x.key()], j) for j, x in enumerate(preds)
+                   if x.key() in prev)
+        y = preds[j]
+        word.append(named[j][0])
+    word.reverse()
+    return (n, word)
 
 
 def growth_table_csv(table: GrowthTable) -> str:

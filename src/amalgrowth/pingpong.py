@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from .amalgam import (
     AmalgamSpec,
     NormalForm,
-    identity_nf,
     invert,
     is_identity,
     multiply,
     nf_from_json,
     nf_to_json,
 )
+from .growth import _levels
 from .tree import (
     Classification,
     TreeVertex,
@@ -119,58 +119,44 @@ def _cert_sets(cert: PingPongCertificate) -> list[HalfTree]:
             for s in cert.sets]
 
 
+def _check_holds(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    kind = c["check"]
+    if kind == "disjoint":
+        return half_trees_disjoint(sets[c["sets"][0]], sets[c["sets"][1]])
+    g = nf_from_json(c["g"])
+    if kind == "maps_into":
+        return half_tree_subset(image_half_tree(spec, g, sets[c["source"]]),
+                                sets[c["target"]])
+    if kind == "hyperbolic":
+        cls = classify(spec, g)
+        return cls.hyperbolic and cls.tau == c["tau"]
+    if kind == "fixes_vertex":
+        v = _vertex_from_json(c["v"])
+        return act(spec, g, v) == v
+    if kind == "moves_vertex":
+        v = _vertex_from_json(c["v"])
+        return act(spec, g, v) != v
+    if kind == "not_on_axis":
+        return displacement(spec, g, _vertex_from_json(c["v"])) != c["tau"]
+    if kind == "sampled_maps_into":
+        src, tgt = sets[c["source"]], sets[c["target"]]
+        center = _vertex_from_json(c["center"])
+        return all(tgt.contains(act(spec, g, v))
+                   for v in ball(spec, center, c["radius"]) if src.contains(v))
+    return False
+
+
 def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
-    """Re-run every recorded check from the certificate data alone."""
+    """Re-run every recorded check from the certificate data alone; a
+    malformed payload (missing field, bad index, wrong type) is rejected."""
     if spec.spec_hash() != cert.spec_hash:
         return False
     try:
         sets = _cert_sets(cert)
-    except Exception:
+        return (all(tree_distance(s.u, s.w) == 1 for s in sets)
+                and all(_check_holds(spec, sets, c) for c in cert.checks))
+    except (KeyError, IndexError, TypeError):
         return False
-    for s in sets:
-        if tree_distance(s.u, s.w) != 1:
-            return False
-    for c in cert.checks:
-        kind = c["check"]
-        if kind == "disjoint":
-            if not half_trees_disjoint(sets[c["sets"][0]], sets[c["sets"][1]]):
-                return False
-        elif kind == "maps_into":
-            g = nf_from_json(c["g"])
-            if not half_tree_subset(
-                    image_half_tree(spec, g, sets[c["source"]]),
-                    sets[c["target"]]):
-                return False
-        elif kind == "hyperbolic":
-            g = nf_from_json(c["g"])
-            cls = classify(spec, g)
-            if not cls.hyperbolic or cls.tau != c["tau"]:
-                return False
-        elif kind == "fixes_vertex":
-            g = nf_from_json(c["g"])
-            v = _vertex_from_json(c["v"])
-            if act(spec, g, v) != v:
-                return False
-        elif kind == "moves_vertex":
-            g = nf_from_json(c["g"])
-            v = _vertex_from_json(c["v"])
-            if act(spec, g, v) == v:
-                return False
-        elif kind == "not_on_axis":
-            g = nf_from_json(c["g"])
-            v = _vertex_from_json(c["v"])
-            if displacement(spec, g, v) == c["tau"]:
-                return False
-        elif kind == "sampled_maps_into":
-            g = nf_from_json(c["g"])
-            src, tgt = sets[c["source"]], sets[c["target"]]
-            center = _vertex_from_json(c["center"])
-            for v in ball(spec, center, c["radius"]):
-                if src.contains(v) and not tgt.contains(act(spec, g, v)):
-                    return False
-        else:
-            return False
-    return True
 
 
 def default_radius(elements: list[NormalForm]) -> int:
@@ -374,20 +360,12 @@ def _element_order(spec: AmalgamSpec, g: NormalForm) -> int | None:
 def _closure(spec: AmalgamSpec, gens: list[NormalForm],
              cap: int) -> list[NormalForm] | None:
     """All elements of the generated subgroup, or None past the cap."""
-    seen = {identity_nf(spec).key(): identity_nf(spec)}
-    frontier = [identity_nf(spec)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = multiply(spec, x, g)
-                if y.key() not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen[y.key()] = y
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda x: x.key())
+    elements: list[NormalForm] = []
+    for sphere in _levels(spec, gens):
+        elements += sphere
+        if len(elements) > cap:
+            return None
+    return sorted(elements, key=lambda x: x.key())
 
 
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],
@@ -480,10 +458,6 @@ def _split_elliptic_elliptic(
     )
 
 
-def _axis_points(spec: AmalgamSpec, y: NormalForm, radius: int) -> list[TreeVertex]:
-    return axis_segment(spec, y, radius)
-
-
 def _split_elliptic_hyperbolic(
         spec: AmalgamSpec, gx: list[NormalForm], y: NormalForm,
         radius: int, cap: int, diagnostics: list[str] | None,
@@ -504,7 +478,7 @@ def _split_elliptic_hyperbolic(
     if any(displacement(spec, y, v) == tau for v in fx):
         _diag(diagnostics, "a fixed vertex lies on the axis")
         return None
-    axis = _axis_points(spec, y, radius)
+    axis = axis_segment(spec, y, radius)
     d, p, q = min(((tree_distance(u, v), u, v) for u in fx for v in axis),
                   key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
     yq = act(spec, y, q)
@@ -563,8 +537,8 @@ def _split_hyperbolic_hyperbolic(
     """Free-product split of two hyperbolic cyclic groups with separated
     axes: four half-trees, one per axis end."""
     xcls, ycls = classify(spec, x), classify(spec, y)
-    ax = _axis_points(spec, x, radius)
-    ay = _axis_points(spec, y, radius)
+    ax = axis_segment(spec, x, radius)
+    ay = axis_segment(spec, y, radius)
     pairs = ((tree_distance(u, v), u, v) for u in ax for v in ay)
     d, qx, qy = min(pairs, key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
     if d == 0:

@@ -6,6 +6,7 @@ so a failure is always accompanied by the numbers that produced it.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,10 @@ from .catalog import CatalogEntry, catalog_load, catalog_names, plastic_enumerat
 from .growth import (
     GenSet,
     GenSetError,
+    _levels,
+    _named_letters,
     enumerate_balls,
+    growth_table_csv,
     make_genset,
     sphere_stream,
 )
@@ -252,22 +256,14 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
     except GenSetError:
         return None
     # must generate: a small ball over the set has to reach every letter
-    seen = {identity_nf(spec).key()}
-    frontier = [identity_nf(spec)]
-    step = list(gens.elements) + [invert(spec, g) for g in gens.elements]
+    step = [g for _, g in _named_letters(spec, gens, True)]
     targets = {g.key() for g in entry.alphabet.values()}
-    for _ in range(6):
-        nxt = []
-        for x in frontier:
-            for l in step:
-                y = multiply(spec, x, l)
-                if y.key() not in seen:
-                    seen.add(y.key())
-                    nxt.append(y)
-        frontier = nxt
+    seen = set()
+    for sphere in itertools.islice(_levels(spec, step), 7):   # radius 0..6
+        seen.update(x.key() for x in sphere)
         if targets <= seen:
             return gens
-    return gens if targets <= seen else None
+    return None
 
 
 def _fit_sphere_tail(seq: list[int],
@@ -383,21 +379,26 @@ def criterion_10(tmpdir: str | None = None) -> CriterionResult:
 
     from . import cli
 
+    entry = catalog_load("pgl2z")
+    named = list(entry.default_genset.alphabet().items())
     workdir = tmpdir or tempfile.mkdtemp(prefix="growth-")
-    outs = []
-    for i, workers in enumerate((1, 4)):
-        out = os.path.join(workdir, f"growth{i}.csv")
-        code = cli.main(["growth", "pgl2z", "--nmax", "14",
-                         "--workers", str(workers), "--out", out])
-        if code != 0:
-            return CriterionResult("criterion-10", False,
-                                   f"growth exited with {code}")
-        with open(out, "rb") as fh:
-            outs.append(fh.read())
-    same = outs[0] == outs[1]
+    out = os.path.join(workdir, "growth.csv")
+    code = cli.main(["growth", "pgl2z", "--nmax", "14", "--out", out])
+    if code != 0:
+        return CriterionResult("criterion-10", False,
+                               f"growth exited with {code}")
+    with open(out, "rb") as fh:
+        cli_bytes = fh.read()
+    orders = list(itertools.permutations(named))
+    outs = {growth_table_csv(enumerate_balls(
+                entry.spec, make_genset(entry.spec, list(order)), 14)).encode()
+            for order in orders}
+    orders_same = len(outs) == 1
+    cli_same = outs == {cli_bytes}
     return CriterionResult(
-        "criterion-10", same,
-        f"CSV outputs byte-identical across 1 and 4 workers: {same}")
+        "criterion-10", orders_same and cli_same,
+        f"CSV byte-identical across {len(orders)} generator orderings: "
+        f"{orders_same}; CLI --out file equals growth_table_csv: {cli_same}")
 
 
 ALL_CRITERIA = (

@@ -62,6 +62,7 @@ def test_criterion_09_rate_vs_index_bound():
     _run(verify.criterion_9)
 
 
-def test_criterion_10_deterministic_parallel_enumeration():
-    # CSV output byte-identical across worker counts
+def test_criterion_10_deterministic_enumeration():
+    # pgl2z CSV byte-identical across all 6 orderings of the generators, and
+    # the CLI --out file byte-identical to growth_table_csv of the library call
     _run(verify.criterion_10)

@@ -42,13 +42,18 @@ def test_growth_out_file_and_provenance(tmp_path, capsys):
     assert report["parameters"]["nmax"] == 8
     assert report["sphere"][:3] == [1, 3, 5]
     assert not report["truncated"]
+    assert len(report["level_seconds"]) == 8 + 1
+    assert capsys.readouterr().out == ""
 
 
-def test_growth_budget_exit_code(tmp_path):
+def test_growth_budget_exit_code(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     code = cli.main(["growth", "pgl2z", "--nmax", "30", "--budget", "200",
                      "--out", str(csv)])
     assert code == 3
+    # with --out, the CSV goes to the file and nothing to stdout
+    assert capsys.readouterr().out == ""
+    assert csv.read_text().startswith("n,sphere,ball,")
 
 
 def test_classify_json(capsys):

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from amalgrowth.catalog import catalog_load, parse_word
 from amalgrowth.growth import (
+    DEFAULT_BUDGET,
     GenSetError,
     enumerate_balls,
     growth_table_csv,
@@ -23,18 +26,22 @@ def test_infinite_dihedral_spheres_are_constant():
 
 def test_sphere_stream_matches_enumerate_balls():
     entry = catalog_load("pgl2z")
-    table = enumerate_balls(entry.spec, entry.default_genset, 10)
-    stream = sphere_stream(entry.spec, entry.default_genset)
-    got = [next(stream) for _ in range(11)]
-    assert tuple(got) == table.sphere
+    for budget in (DEFAULT_BUDGET, 500):
+        table = enumerate_balls(entry.spec, entry.default_genset, 20, budget=budget)
+        stream = sphere_stream(entry.spec, entry.default_genset, budget=budget)
+        got = tuple(itertools.islice(stream, table.nmax + 1))
+        assert got == table.sphere
+        # the stream stops exactly where the table was truncated
+        assert table.truncated == (next(stream, None) is None)
 
 
-def test_worker_counts_agree():
+def test_generator_order_does_not_change_the_csv():
     entry = catalog_load("c2*c5")
-    t1 = enumerate_balls(entry.spec, entry.default_genset, 9, workers=1)
-    t4 = enumerate_balls(entry.spec, entry.default_genset, 9, workers=4)
-    assert t1.sphere == t4.sphere
-    assert growth_table_csv(t1) == growth_table_csv(t4)
+    named = list(entry.default_genset.alphabet().items())
+    t1 = enumerate_balls(entry.spec, entry.default_genset, 9)
+    t2 = enumerate_balls(entry.spec, make_genset(entry.spec, named[::-1]), 9)
+    assert t1.sphere == t2.sphere
+    assert growth_table_csv(t1) == growth_table_csv(t2)
 
 
 def test_budget_truncation_is_flagged():
@@ -73,6 +80,23 @@ def test_shortest_word_is_geodesic():
                     nxt.append(y)
         frontier = nxt
     assert g.key() not in table_elems
+
+
+@pytest.mark.parametrize("name, text, nmax, inverses, expected", [
+    ("pgl2z", "a b c a c", 12, True, ["b", "c", "a"]),
+    ("pgl2z", "c b a b", 12, True, ["c", "a"]),
+    ("c2*c3", "b a b^-1 a b", 12, True, ["b", "a", "b^-1", "a", "b", "a"]),
+    ("c2*c5", "b b a b^-1 a", 12, True, ["b", "b", "a", "b^-1", "a"]),
+    ("c2*c3", "b^-1 a b^-1", 12, False, ["b", "a", "b", "b", "a", "b", "a"]),
+    ("c2*c3", "b^-1 a b^-1", 6, False, None),
+])
+def test_shortest_word_pinned(name, text, nmax, inverses, expected):
+    # the first geodesic in discovery order, pinned from the parent-pointer
+    # search this engine replaced
+    entry = catalog_load(name)
+    res = shortest_word(entry.spec, entry.default_genset,
+                        parse_word(entry, text), nmax, include_inverses=inverses)
+    assert res == (None if expected is None else (len(expected), expected))
 
 
 def test_word_length_identity_and_out_of_range():

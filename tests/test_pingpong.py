@@ -1,11 +1,15 @@
 import copy
 import itertools
 
+import pytest
+
 from amalgrowth.amalgam import Word, identity_nf, is_identity, multiply, reduce_word
 from amalgrowth.catalog import catalog_load, parse_word
 from amalgrowth.pingpong import (
+    SUBGROUP_CAP,
     HalfTree,
     PingPongCertificate,
+    _closure,
     certify_free_monoid,
     certify_free_split,
     half_tree,
@@ -110,6 +114,52 @@ def test_certificate_json_round_trip_and_tamper_detection():
     bad = copy.deepcopy(d)
     bad["sets"][0], bad["sets"][1] = bad["sets"][1], bad["sets"][0]
     assert not replay(entry.spec, PingPongCertificate.from_json(bad))
+
+
+def _drop(key):
+    return lambda check: check.pop(key)
+
+
+def _set(key, value):
+    return lambda check: check.update({key: value})
+
+
+@pytest.mark.parametrize("mutate, accepted", [
+    (lambda check: None, True),
+    (_drop("g"), False),
+    (_drop("check"), False),
+    (_set("source", 9), False),
+    (_set("g", 5), False),
+], ids=["valid", "no-g", "no-check", "set-index-9", "g-is-int"])
+def test_replay_is_total_on_malformed_checks(mutate, accepted):
+    entry = catalog_load("pgl2z")
+    cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))
+    d = copy.deepcopy(cert.to_json())
+    assert d["checks"][0]["check"] == "maps_into"
+    mutate(d["checks"][0])
+    assert replay(entry.spec, PingPongCertificate.from_json(d)) is accepted
+
+
+@pytest.mark.parametrize("name, words, order", [
+    ("c2*c3", ["a"], 2),
+    ("c2*c3", ["b"], 3),
+    ("c2*c5", ["b"], 5),
+    ("pgl2z", ["a", "b"], 4),
+    ("pgl2z", ["a", "c"], 6),
+    ("gl2z", ["a", "b"], 8),
+    ("c2*c3", ["a", "b"], None),
+])
+def test_closure_orders_and_cap(name, words, order):
+    entry = catalog_load(name)
+    elements = _closure(entry.spec, _elements(entry, *words), SUBGROUP_CAP)
+    if order is None:
+        assert elements is None      # <a, b> is infinite
+        return
+    assert len(elements) == order
+    assert len({g.key() for g in elements}) == order
+    assert elements == sorted(elements, key=lambda g: g.key())
+    # one below the order is past the cap
+    assert _closure(entry.spec, _elements(entry, *words), order - 1) is None
 
 
 def test_split_certificate_recovers_the_defining_splitting():

@@ -5,7 +5,10 @@ An element is written g = s1 s2 ... sn * c where the si are non-identity
 coset representatives strictly alternating between the A and B factors, and
 the head c lies in C (appended on the right).  Free products are the special
 case of trivial C.  Uniqueness of this form makes equality testing, and
-therefore exact ball enumeration, a tuple comparison.
+therefore exact ball enumeration, a tuple comparison.  The ball enumerator
+works on a flat int-tuple encoding of the same forms (`encode_flat`), with
+right multiplication by a letter done through per-letter tail tables
+(`TailTable`); `multiply` stays the reference arithmetic.
 """
 from __future__ import annotations
 
@@ -126,6 +129,36 @@ def multiply(spec: AmalgamSpec, x: NormalForm, y: NormalForm) -> NormalForm:
         head = _append_factor(spec, syl, head, side, elem)
     head = spec.C.mul[head][y.head]
     return NormalForm(tuple(syl), head)
+
+
+def encode_flat(x: NormalForm) -> tuple[int, ...]:
+    """The flat form (code1, ..., coden, head) of x, code = side + 2 * rep:
+    one hashable int tuple, the BFS engine's element and set key."""
+    return tuple([side + 2 * elem for side, elem in x.syllables] + [x.head])
+
+
+def decode_flat(t: tuple[int, ...]) -> NormalForm:
+    return NormalForm(tuple((c & 1, c >> 1) for c in t[:-1]), t[-1])
+
+
+class TailTable(dict):
+    """Right multiplication of flat forms by one letter of k syllables.
+
+    Each syllable of the letter merges with at most one trailing syllable of
+    x, so only the tail x[cut:] (the last k syllables and the head, cut =
+    -(k+1)) changes: x * letter == x[:cut] + table[x[cut:]].  The table maps
+    tails to their products and fills itself on first use.
+    """
+
+    def __init__(self, spec: AmalgamSpec, letter: NormalForm):
+        super().__init__()
+        self.spec = spec
+        self.letter = letter
+        self.cut = -(len(letter.syllables) + 1)
+
+    def __missing__(self, tail: tuple[int, ...]) -> tuple[int, ...]:
+        y = self[tail] = encode_flat(multiply(self.spec, decode_flat(tail), self.letter))
+        return y
 
 
 def invert(spec: AmalgamSpec, x: NormalForm) -> NormalForm:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 
 from . import __version__
@@ -97,6 +98,8 @@ def cmd_growth(args) -> int:
     report["ball"] = list(table.ball)
     report["truncated"] = table.truncated
     report["level_seconds"] = list(table.timings)
+    # ru_maxrss is in KiB on Linux
+    report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:
         est = rate_estimates(table)
         report["root_estimate"] = est.root_estimate

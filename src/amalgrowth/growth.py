@@ -2,10 +2,20 @@
 
 One breadth-first engine, `_levels`, closes the identity under right
 multiplication by a list of letters (inverses adjoined by default) and yields
-each sphere in discovery order, deduplicated by the canonical normal-form key,
-so all counts are exact and every run is deterministic.  Ball tables, sphere
-streams, geodesic words, subgroup closures and generation checks are all
-consumers of it; it runs on one thread.
+each sphere in discovery order, deduplicated exactly, so all counts are exact
+and every run is deterministic.  Ball tables, sphere streams, geodesic words,
+subgroup closures and generation checks are all consumers of it; it runs on
+one thread.
+
+Inside the engine an element is a flat int tuple (code1, ..., coden, head)
+(`amalgam.encode_flat`).  Right multiplication by a letter of k syllables
+rewrites only the last k syllables and the head, so each letter gets an
+`amalgam.TailTable`, filled on first use, mapping that tail to its product: a
+step is one dict lookup and one tuple splice.  When the letters are closed
+under inversion, every neighbour of sphere n lies in sphere n-1, n or n+1, and
+the seen set keeps only those three spheres; one-sided letters (subgroup
+closures, `include_inverses=False`) keep every element met.  The element
+budget counts elements the same way in both cases.
 """
 from __future__ import annotations
 
@@ -13,7 +23,17 @@ import io
 import time
 from dataclasses import dataclass
 
-from .amalgam import AmalgamSpec, NormalForm, identity_nf, invert, is_identity, multiply
+from .amalgam import (
+    AmalgamSpec,
+    NormalForm,
+    TailTable,
+    decode_flat,
+    encode_flat,
+    identity_nf,
+    invert,
+    is_identity,
+    multiply,
+)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -74,29 +94,35 @@ def _named_letters(spec: AmalgamSpec, gens: GenSet,
 def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             budget: int | None = None):
     """Yield the spheres of the Cayley graph of `letters`, starting with the
-    radius-0 sphere [identity]: each as a list in discovery order (frontier
-    order, then letter order), holding the right products not seen at any
-    smaller radius.
+    radius-0 sphere [identity]: each as a list of flat forms
+    (`amalgam.encode_flat`) in discovery order (frontier order, then letter
+    order), holding the right products not seen at any smaller radius.
 
     An empty sphere is yielded once and ends the iteration.  With a budget,
     iteration stops silently before a level whose worst case
-    len(seen) + len(frontier) * len(letters) would exceed it.
+    (elements so far) + len(frontier) * len(letters) would exceed it.
     """
-    ident = identity_nf(spec)
-    seen = {ident.key()}
-    frontier = [ident]
+    steps = [(t.cut, t) for t in (TailTable(spec, l) for l in letters)]
+    symmetric = {l.key() for l in letters} == {invert(spec, l).key() for l in letters}
+    frontier = [encode_flat(identity_nf(spec))]
+    seen = set(frontier)
+    older: list[tuple[int, ...]] = []
+    total = 1
     yield frontier
     while frontier:
-        if budget is not None and len(seen) + len(frontier) * len(letters) > budget:
+        if budget is not None and total + len(frontier) * len(letters) > budget:
             return
         nxt = []
         for x in frontier:
-            for l in letters:
-                y = multiply(spec, x, l)
-                k = y.key()
-                if k not in seen:
-                    seen.add(k)
+            for cut, table in steps:
+                y = x[:cut] + table[x[cut:]]
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
+        if symmetric:
+            seen.difference_update(older)
+            older = frontier
+        total += len(nxt)
         yield nxt
         frontier = nxt
 
@@ -199,10 +225,10 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     if is_identity(spec, g):
         return (0, [])
     named = _named_letters(spec, gens, include_inverses)
-    target = g.key()
+    target = encode_flat(g)
     spheres: list[dict[tuple, int]] = []
     for n, sphere in zip(range(nmax + 1), _levels(spec, [l for _, l in named])):
-        spheres.append({x.key(): i for i, x in enumerate(sphere)})
+        spheres.append({x: i for i, x in enumerate(sphere)})
         if target in spheres[-1]:
             break
     else:
@@ -213,10 +239,9 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     word = []
     y = g
     for prev in reversed(spheres[:-1]):
-        preds = [multiply(spec, y, li) for li in inverses]
-        _, j = min((prev[x.key()], j) for j, x in enumerate(preds)
-                   if x.key() in prev)
-        y = preds[j]
+        preds = [encode_flat(multiply(spec, y, li)) for li in inverses]
+        _, j = min((prev[x], j) for j, x in enumerate(preds) if x in prev)
+        y = decode_flat(preds[j])
         word.append(named[j][0])
     word.reverse()
     return (n, word)

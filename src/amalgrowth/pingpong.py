@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .amalgam import (
     AmalgamSpec,
     NormalForm,
+    decode_flat,
     invert,
     is_identity,
     multiply,
@@ -360,12 +361,12 @@ def _element_order(spec: AmalgamSpec, g: NormalForm) -> int | None:
 def _closure(spec: AmalgamSpec, gens: list[NormalForm],
              cap: int) -> list[NormalForm] | None:
     """All elements of the generated subgroup, or None past the cap."""
-    elements: list[NormalForm] = []
+    elements: list[tuple[int, ...]] = []
     for sphere in _levels(spec, gens):
         elements += sphere
         if len(elements) > cap:
             return None
-    return sorted(elements, key=lambda x: x.key())
+    return sorted(map(decode_flat, elements), key=NormalForm.key)
 
 
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],

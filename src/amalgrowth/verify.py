@@ -11,7 +11,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amalgam import NormalForm, identity_nf, invert, is_identity, multiply
+from .amalgam import (
+    AmalgamSpec,
+    NormalForm,
+    decode_flat,
+    encode_flat,
+    identity_nf,
+    invert,
+    is_identity,
+    multiply,
+)
 from .catalog import CatalogEntry, catalog_load, catalog_names, plastic_enumerate
 from .growth import (
     GenSet,
@@ -257,10 +266,10 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
         return None
     # must generate: a small ball over the set has to reach every letter
     step = [g for _, g in _named_letters(spec, gens, True)]
-    targets = {g.key() for g in entry.alphabet.values()}
+    targets = {encode_flat(g) for g in entry.alphabet.values()}
     seen = set()
     for sphere in itertools.islice(_levels(spec, step), 7):   # radius 0..6
-        seen.update(x.key() for x in sphere)
+        seen.update(sphere)
         if targets <= seen:
             return gens
     return None
@@ -373,6 +382,29 @@ def criterion_9() -> CriterionResult:
                            "; ".join(parts))
 
 
+def _reference_spheres(spec: AmalgamSpec, letters: list[NormalForm], nmax: int,
+                       budget: int | None = None) -> list[list[NormalForm]]:
+    """Spheres 0..nmax of the Cayley graph of `letters` by a plain BFS over
+    `multiply` and `NormalForm.key()`: the oracle for `growth._levels`,
+    sharing none of its code.  It stops where `_levels` does: after an empty
+    sphere, or before a level that could take it past the budget."""
+    ident = identity_nf(spec)
+    seen = {ident.key()}
+    spheres = [[ident]]
+    while spheres[-1] and len(spheres) <= nmax:
+        if budget is not None and len(seen) + len(spheres[-1]) * len(letters) > budget:
+            break
+        nxt = []
+        for x in spheres[-1]:
+            for l in letters:
+                y = multiply(spec, x, l)
+                if y.key() not in seen:
+                    seen.add(y.key())
+                    nxt.append(y)
+        spheres.append(nxt)
+    return spheres
+
+
 def criterion_10(tmpdir: str | None = None) -> CriterionResult:
     import os
     import tempfile
@@ -395,10 +427,23 @@ def criterion_10(tmpdir: str | None = None) -> CriterionResult:
             for order in orders}
     orders_same = len(outs) == 1
     cli_same = outs == {cli_bytes}
+    nmax = 10
+    engine_diff = []
+    for name in catalog_names():
+        other = catalog_load(name)
+        spec = other.spec
+        letters = [g for _, g in _named_letters(spec, other.default_genset, True)]
+        got = [[decode_flat(x) for x in sphere]
+               for sphere in itertools.islice(_levels(spec, letters), nmax + 1)]
+        if got != _reference_spheres(spec, letters, nmax):
+            engine_diff.append(name)
     return CriterionResult(
-        "criterion-10", orders_same and cli_same,
+        "criterion-10", orders_same and cli_same and not engine_diff,
         f"CSV byte-identical across {len(orders)} generator orderings: "
-        f"{orders_same}; CLI --out file equals growth_table_csv: {cli_same}")
+        f"{orders_same}; CLI --out file equals growth_table_csv: {cli_same}; "
+        f"engine spheres equal the multiply BFS element by element to "
+        f"n={nmax}: {not engine_diff}"
+        + (f" (differ: {', '.join(engine_diff)})" if engine_diff else ""))
 
 
 ALL_CRITERIA = (

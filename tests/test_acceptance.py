@@ -63,6 +63,8 @@ def test_criterion_09_rate_vs_index_bound():
 
 
 def test_criterion_10_deterministic_enumeration():
-    # pgl2z CSV byte-identical across all 6 orderings of the generators, and
-    # the CLI --out file byte-identical to growth_table_csv of the library call
+    # pgl2z CSV byte-identical across all 6 orderings of the generators, the
+    # CLI --out file byte-identical to growth_table_csv of the library call,
+    # and for every catalog entry the BFS engine's spheres to n=10 equal a
+    # plain multiply BFS's, element by element in discovery order
     _run(verify.criterion_10)

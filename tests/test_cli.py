@@ -43,6 +43,7 @@ def test_growth_out_file_and_provenance(tmp_path, capsys):
     assert report["sphere"][:3] == [1, 3, 5]
     assert not report["truncated"]
     assert len(report["level_seconds"]) == 8 + 1
+    assert report["peak_rss_mb"] > 0
     assert capsys.readouterr().out == ""
 
 

@@ -1,11 +1,22 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amalgrowth.catalog import catalog_load, parse_word
+from amalgrowth.amalgam import decode_flat
+from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
     DEFAULT_BUDGET,
     GenSetError,
+    _levels,
+    _named_letters,
     enumerate_balls,
     growth_table_csv,
     make_genset,
@@ -14,6 +25,9 @@ from amalgrowth.growth import (
     sphere_stream,
     word_length,
 )
+from amalgrowth.verify import _random_genset, _reference_spheres
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_infinite_dihedral_spheres_are_constant():
@@ -33,6 +47,46 @@ def test_sphere_stream_matches_enumerate_balls():
         assert got == table.sphere
         # the stream stops exactly where the table was truncated
         assert table.truncated == (next(stream, None) is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(catalog_names()), seed=st.integers(0, 2 ** 32 - 1),
+       inverses=st.booleans(), budget=st.sampled_from([None, 500, 5000]))
+def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
+    # criterion 7's random generating sets; with inverses the letters are
+    # closed under inversion and the engine keeps three spheres, without
+    # them it keeps every element it has seen
+    entry = catalog_load(name)
+    rng = random.Random(seed)
+    gens = None
+    while gens is None:
+        gens = _random_genset(entry, rng)
+    letters = [g for _, g in _named_letters(entry.spec, gens, inverses)]
+    nmax = 8
+    got = [[decode_flat(x) for x in sphere]
+           for sphere in itertools.islice(_levels(entry.spec, letters, budget), nmax + 1)]
+    assert got == _reference_spheres(entry.spec, letters, nmax, budget)
+
+
+def test_sphere_stream_memory_is_bounded_on_linear_growth():
+    # c2*c2 has 2 elements per sphere, so a 20,000-element budget reaches
+    # radius ~10,000 and the whole ball holds ~10^8 syllables (about 1 GB);
+    # the stream must run in a 512 MB address space
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        from amalgrowth.catalog import catalog_load
+        from amalgrowth.growth import sphere_stream
+        entry = catalog_load("c2*c2")
+        print(sum(1 for _ in sphere_stream(entry.spec, entry.default_genset,
+                                           budget=20000)))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["9999"]
 
 
 def test_generator_order_does_not_change_the_csv():

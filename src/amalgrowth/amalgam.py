@@ -223,8 +223,29 @@ def nf_to_json(x: NormalForm) -> dict:
     return {"syllables": [list(s) for s in x.syllables], "head": x.head}
 
 
-def nf_from_json(d: dict) -> NormalForm:
-    return NormalForm(tuple((s[0], s[1]) for s in d["syllables"]), d["head"])
+def syllables_from_json(spec: AmalgamSpec, raw) -> tuple[tuple[int, int], ...]:
+    """An alternating syllable string of non-identity transversal reps, as
+    stored by `nf_to_json`; ValueError when `raw` is not one."""
+    out: list[tuple[int, int]] = []
+    for s in raw:
+        side, rep = s
+        if (type(side) is not int or type(rep) is not int
+                or side not in (SIDE_A, SIDE_B)
+                or rep == spec.factor(side).identity
+                or rep not in spec.transversal(side).reps
+                or (out and out[-1][0] == side)):
+            raise ValueError(f"not an alternating syllable string: {raw!r}")
+        out.append((side, rep))
+    return tuple(out)
+
+
+def nf_from_json(spec: AmalgamSpec, d: dict) -> NormalForm:
+    """The normal form stored by `nf_to_json`; ValueError when `d` is not a
+    normal form of this spec."""
+    head = d["head"]
+    if type(head) is not int or not 0 <= head < spec.C.order:
+        raise ValueError(f"head {head!r} is not an element of C")
+    return NormalForm(syllables_from_json(spec, d["syllables"]), head)
 
 
 def describe_nf(spec: AmalgamSpec, x: NormalForm) -> str:

@@ -83,14 +83,15 @@ def _entry_c2_c3() -> CatalogEntry:
     a = factor_nf(spec, SIDE_A, 1)
     b = factor_nf(spec, SIDE_B, 1)
     t = multiply(spec, b, a)
-    # the default generating set {a, ba} attains the group's minimal rate;
-    # the factor generators {a, b} only give sqrt(2)
+    # the default generating set {a, ba} has rate phi (spheres 1, 3, 6, 10,
+    # 16, 26, ...); the factor generators {a, b} give the smaller rate
+    # sqrt(2) (spheres 1, 3, 4, 6, 8, 12, ...)
     return CatalogEntry(
         name="c2*c3",
         spec=spec,
         alphabet={"a": a, "b": b},
         default_genset=make_genset(spec, [("a", a), ("b", t)]),
-        description="C2*C3 with the rate-minimizing generating set {a, ba}",
+        description="C2*C3 with the generating set {a, ba} (rate phi)",
         expected=(
             {"quantity": "sphere_char_poly", "polynomial": GOLDEN_POLY,
              "basis": "independent enumeration"},

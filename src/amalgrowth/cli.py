@@ -241,8 +241,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     results = run_all(seed=args.seed)
-    for r in results:
-        print(r.line())
+    if not args.out:
+        for r in results:
+            print(r.line())
     payload = {
         "version": __version__,
         "seed": args.seed,

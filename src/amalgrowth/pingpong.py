@@ -1,11 +1,17 @@
 """Replayable ping-pong certificates on the amalgam tree.
 
-A certificate is finite data: a list of half-tree predicates (anchor edge plus
-direction) together with the exact structural checks that were verified,
-namely pairwise disjointness and "g maps this set into that set".  Because
-the group acts by tree automorphisms, g(H) is again a half-tree with known
-anchor, so every inclusion reduces to a constant number of exact distance
-computations; a sampled ball check is recorded alongside as a second witness.
+A certificate is finite data: its elements, a list of half-tree sets (anchor
+edge plus direction) and a list of checks.  `CHECKS` decides each check kind
+from the check's JSON dict, for the certificate search and for `replay`
+alike.  Because the group acts by tree automorphisms, g(H) is again a
+half-tree with known anchor, so disjointness and "g maps this set into that
+set" reduce to a constant number of exact distance computations.
+
+`replay` derives from the payload's kind, elements and sets the checks that
+the ping-pong lemma needs for its shape (`_obligations`), requires each of
+them to be listed, and re-runs every listed check.  Auxiliary checks (fixed
+vertices, vertices off an axis, sampled ball inclusions) are re-run when
+present but never required: sampled checks are evidence, not proof.
 
 Success is a proof; failure is always inconclusive (never a refutation).
 """
@@ -15,6 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .amalgam import (
+    SIDE_A,
+    SIDE_B,
     AmalgamSpec,
     NormalForm,
     decode_flat,
@@ -23,6 +31,7 @@ from .amalgam import (
     multiply,
     nf_from_json,
     nf_to_json,
+    syllables_from_json,
 )
 from .growth import _levels
 from .tree import (
@@ -80,8 +89,15 @@ def _vertex_json(v: TreeVertex) -> dict:
     return {"side": v.side, "key": [list(s) for s in v.key]}
 
 
-def _vertex_from_json(d: dict) -> TreeVertex:
-    return TreeVertex(d["side"], tuple((s[0], s[1]) for s in d["key"]))
+def _vertex_from_json(spec: AmalgamSpec, d: dict) -> TreeVertex:
+    """The vertex stored by `_vertex_json`; ValueError unless its key is an
+    alternating syllable string whose last syllable is on the other side."""
+    key = syllables_from_json(spec, d["key"])
+    side = d["side"]
+    if type(side) is not int or side not in (SIDE_A, SIDE_B) or (
+            key and key[-1][0] == side):
+        raise ValueError(f"not a canonical vertex: {d!r}")
+    return TreeVertex(side, key)
 
 
 @dataclass
@@ -96,16 +112,7 @@ class PingPongCertificate:
     data: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "spec_hash": self.spec_hash,
-            "radius": self.radius,
-            "elements": self.elements,
-            "sets": self.sets,
-            "checks": self.checks,
-            "conclusion": self.conclusion,
-            "data": self.data,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_json(d: dict) -> "PingPongCertificate":
@@ -115,48 +122,166 @@ class PingPongCertificate:
             conclusion=d["conclusion"], data=d.get("data", {}))
 
 
-def _cert_sets(cert: PingPongCertificate) -> list[HalfTree]:
-    return [HalfTree(_vertex_from_json(s["u"]), _vertex_from_json(s["w"]))
-            for s in cert.sets]
+def _check(kind: str, **fields) -> dict:
+    """The JSON dict of a check; normal forms and vertices are serialised."""
+    out = {"check": kind}
+    for name, value in fields.items():
+        if isinstance(value, NormalForm):
+            value = nf_to_json(value)
+        elif isinstance(value, TreeVertex):
+            value = _vertex_json(value)
+        out[name] = value
+    return out
 
 
-def _check_holds(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
-    kind = c["check"]
-    if kind == "disjoint":
-        return half_trees_disjoint(sets[c["sets"][0]], sets[c["sets"][1]])
-    g = nf_from_json(c["g"])
-    if kind == "maps_into":
-        return half_tree_subset(image_half_tree(spec, g, sets[c["source"]]),
-                                sets[c["target"]])
-    if kind == "hyperbolic":
-        cls = classify(spec, g)
-        return cls.hyperbolic and cls.tau == c["tau"]
-    if kind == "fixes_vertex":
-        v = _vertex_from_json(c["v"])
-        return act(spec, g, v) == v
-    if kind == "moves_vertex":
-        v = _vertex_from_json(c["v"])
-        return act(spec, g, v) != v
-    if kind == "not_on_axis":
-        return displacement(spec, g, _vertex_from_json(c["v"])) != c["tau"]
-    if kind == "sampled_maps_into":
-        src, tgt = sets[c["source"]], sets[c["target"]]
-        center = _vertex_from_json(c["center"])
-        return all(tgt.contains(act(spec, g, v))
-                   for v in ball(spec, center, c["radius"]) if src.contains(v))
-    return False
+def _maps_into(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    g = nf_from_json(spec, c["g"])
+    return half_tree_subset(image_half_tree(spec, g, sets[c["source"]]),
+                            sets[c["target"]])
+
+
+def _hyperbolic(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    cls = classify(spec, nf_from_json(spec, c["g"]))
+    return cls.hyperbolic and cls.tau == c["tau"]
+
+
+def _fixes_vertex(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    v = _vertex_from_json(spec, c["v"])
+    return act(spec, nf_from_json(spec, c["g"]), v) == v
+
+
+def _not_on_axis(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    return displacement(spec, nf_from_json(spec, c["g"]),
+                        _vertex_from_json(spec, c["v"])) != c["tau"]
+
+
+def _sampled_maps_into(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
+    """Every vertex of the source set within the radius of the center lands
+    in the target set; the radius is capped so that replay stays cheap."""
+    radius = c["radius"]
+    if type(radius) is not int or not 0 <= radius <= SAMPLE_RADIUS:
+        return False
+    g, src, tgt = nf_from_json(spec, c["g"]), sets[c["source"]], sets[c["target"]]
+    center = _vertex_from_json(spec, c["center"])
+    return all(tgt.contains(act(spec, g, v))
+               for v in ball(spec, center, radius) if src.contains(v))
+
+
+# check kind -> decision from (spec, the certificate's sets, the check's dict)
+CHECKS = {
+    "disjoint": lambda spec, sets, c: half_trees_disjoint(
+        *[sets[i] for i in c["sets"]]),
+    "maps_into": _maps_into,
+    "hyperbolic": _hyperbolic,
+    "fixes_vertex": _fixes_vertex,
+    "not_on_axis": _not_on_axis,
+    "sampled_maps_into": _sampled_maps_into,
+}
+
+
+def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
+                 sets: list[dict]) -> list[dict] | None:
+    """The checks the ping-pong lemma (de la Harpe, Topics in Geometric Group
+    Theory, II.B) needs for the payload's shape, or None when it fits none.
+
+    The shape is read from the kind, the element roles and the set labels:
+    - free monoid x1..xk on X1..Xk: X_i pairwise disjoint, x_i(X_j) in X_i
+      for all i, j, each x_i hyperbolic;
+    - split on X, Y (elliptic/elliptic): X, Y disjoint, every non-identity
+      element of each generated finite subgroup maps the other set into its
+      own, and for two subgroups of order 2 their product is hyperbolic;
+    - split on X, Y+, Y- (elliptic/hyperbolic y): the sets pairwise
+      disjoint, y hyperbolic, y^{+-1} maps X and Y+- into Y+-, every
+      non-identity element of the finite subgroup maps Y+- into X;
+    - split on X+, X-, Y+, Y- (hyperbolic x, y): the sets pairwise
+      disjoint, x and y hyperbolic, each of x^{+-1}, y^{+-1} maps the three
+      sets other than its repelling one into its attracting one.
+    """
+    k = len(elements)
+    roles = [e["role"] for e in elements]
+    nfs = [nf_from_json(spec, e["nf"]) for e in elements]
+    labels = [s["label"] for s in sets]
+    if kind == "free-monoid":
+        if (k < 2 or labels != [f"X{i+1}" for i in range(k)]
+                or any(r not in (f"x{i+1}", f"x{i+1}^-1")
+                       for i, r in enumerate(roles))):
+            return None
+        out = []
+        for i, g in enumerate(nfs):
+            for j in range(k):
+                out.append(_check("maps_into", g=g, source=j, target=i))
+                if i < j:
+                    out.append(_check("disjoint", sets=[i, j]))
+            out.append(_check("hyperbolic", g=g, tau=elements[i]["tau"]))
+        return out
+    n_left = roles.count("left")
+    if (kind != "free-product-split" or not 0 < n_left < k
+            or roles != ["left"] * n_left + ["right"] * (k - n_left)):
+        return None
+    left, right = nfs[:n_left], nfs[n_left:]
+    disjoint = [_check("disjoint", sets=[i, j])
+                for i, j in itertools.combinations(range(len(sets)), 2)]
+    if labels == ["X", "Y"]:
+        GX = _closure(spec, left, SUBGROUP_CAP)
+        GY = _closure(spec, right, SUBGROUP_CAP)
+        if GX is None or GY is None:
+            return None
+        out = (disjoint
+               + [_check("maps_into", g=g, source=1, target=0)
+                  for g in GX if not is_identity(spec, g)]
+               + [_check("maps_into", g=h, source=0, target=1)
+                  for h in GY if not is_identity(spec, h)])
+        if len(GX) == 2 and len(GY) == 2:
+            prod = multiply(spec, left[0], right[0])
+            out.append(_check("hyperbolic", g=prod,
+                              tau=classify(spec, prod).tau))
+        return out
+    if labels == ["X", "Y+", "Y-"] and len(right) == 1:
+        GX = _closure(spec, left, SUBGROUP_CAP)
+        if GX is None:
+            return None
+        y, yi = right[0], invert(spec, right[0])
+        out = disjoint + [
+            _check("hyperbolic", g=y, tau=elements[-1]["tau"]),
+            _check("maps_into", g=y, source=1, target=1),
+            _check("maps_into", g=y, source=0, target=1),
+            _check("maps_into", g=yi, source=2, target=2),
+            _check("maps_into", g=yi, source=0, target=2)]
+        for g in GX:
+            if not is_identity(spec, g):
+                out += [_check("maps_into", g=g, source=1, target=0),
+                        _check("maps_into", g=g, source=2, target=0)]
+        return out
+    if labels == ["X+", "X-", "Y+", "Y-"] and k == 2:
+        x, y = nfs
+        out = disjoint + [_check("hyperbolic", g=g, tau=e["tau"])
+                          for g, e in zip(nfs, elements)]
+        # each generator drives everything outside its repelling set into
+        # its attracting set
+        for g, target in ((x, 0), (invert(spec, x), 1),
+                          (y, 2), (invert(spec, y), 3)):
+            repelling = target ^ 1
+            out += [_check("maps_into", g=g, source=src, target=target)
+                    for src in range(4) if src != repelling]
+        return out
+    return None
 
 
 def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
-    """Re-run every recorded check from the certificate data alone; a
-    malformed payload (missing field, bad index, wrong type) is rejected."""
+    """Accept a certificate iff it is for this spec, its sets are edges,
+    every check its shape requires (`_obligations`) is listed, and every
+    listed check holds.  A malformed payload is rejected, never raised on."""
     if spec.spec_hash() != cert.spec_hash:
         return False
     try:
-        sets = _cert_sets(cert)
-        return (all(tree_distance(s.u, s.w) == 1 for s in sets)
-                and all(_check_holds(spec, sets, c) for c in cert.checks))
-    except (KeyError, IndexError, TypeError):
+        sets = [HalfTree(_vertex_from_json(spec, s["u"]),
+                         _vertex_from_json(spec, s["w"])) for s in cert.sets]
+        required = _obligations(spec, cert.kind, cert.elements, cert.sets)
+        return (required is not None
+                and all(tree_distance(s.u, s.w) == 1 for s in sets)
+                and all(c in cert.checks for c in required)
+                and all(CHECKS[c["check"]](spec, sets, c) for c in cert.checks))
+    except (KeyError, IndexError, TypeError, ValueError):
         return False
 
 
@@ -169,68 +294,26 @@ def _diag(diagnostics: list[str] | None, msg: str) -> None:
         diagnostics.append(msg)
 
 
-class _CheckLog:
-    """Runs structural checks, recording each one; a failure marks the log
-    dead so a candidate can be abandoned cheaply."""
-
-    def __init__(self, spec: AmalgamSpec, sets: list[HalfTree]):
-        self.spec = spec
-        self.sets = sets
-        self.checks: list[dict] = []
-        self.ok = True
-
-    def disjoint(self, i: int, j: int) -> bool:
-        good = half_trees_disjoint(self.sets[i], self.sets[j])
-        self.checks.append({"check": "disjoint", "sets": [i, j]})
-        self.ok = self.ok and good
-        return good
-
-    def maps_into(self, g: NormalForm, i: int, j: int) -> bool:
-        good = half_tree_subset(
-            image_half_tree(self.spec, g, self.sets[i]), self.sets[j])
-        self.checks.append(
-            {"check": "maps_into", "g": nf_to_json(g), "source": i, "target": j})
-        self.ok = self.ok and good
-        return good
-
-    def hyperbolic(self, g: NormalForm, tau: int) -> bool:
-        cls = classify(self.spec, g)
-        good = cls.hyperbolic and cls.tau == tau
-        self.checks.append({"check": "hyperbolic", "g": nf_to_json(g), "tau": tau})
-        self.ok = self.ok and good
-        return good
-
-    def fixes(self, g: NormalForm, v: TreeVertex) -> bool:
-        good = act(self.spec, g, v) == v
-        self.checks.append(
-            {"check": "fixes_vertex", "g": nf_to_json(g), "v": _vertex_json(v)})
-        self.ok = self.ok and good
-        return good
-
-    def moves(self, g: NormalForm, v: TreeVertex) -> bool:
-        good = act(self.spec, g, v) != v
-        self.checks.append(
-            {"check": "moves_vertex", "g": nf_to_json(g), "v": _vertex_json(v)})
-        self.ok = self.ok and good
-        return good
-
-    def not_on_axis(self, g: NormalForm, tau: int, v: TreeVertex) -> bool:
-        good = displacement(self.spec, g, v) != tau
-        self.checks.append({"check": "not_on_axis", "g": nf_to_json(g),
-                            "tau": tau, "v": _vertex_json(v)})
-        self.ok = self.ok and good
-        return good
-
-    def sampled(self, g: NormalForm, i: int, j: int,
-                center: TreeVertex, radius: int) -> bool:
-        src, tgt = self.sets[i], self.sets[j]
-        good = all(tgt.contains(act(self.spec, g, v))
-                   for v in ball(self.spec, center, radius) if src.contains(v))
-        self.checks.append(
-            {"check": "sampled_maps_into", "g": nf_to_json(g), "source": i,
-             "target": j, "center": _vertex_json(center), "radius": radius})
-        self.ok = self.ok and good
-        return good
+def _certificate(spec: AmalgamSpec, kind: str, radius: int,
+                 elements: list[dict], sets: list[tuple[str, HalfTree]],
+                 auxiliary: list[dict], conclusion: str, data: dict,
+                 diagnostics: list[str] | None) -> PingPongCertificate | None:
+    """The certificate whose checks are its shape's obligations followed by
+    the auxiliary checks, or None when one of them fails."""
+    sets_json = [{"label": label, "u": _vertex_json(h.u), "w": _vertex_json(h.w)}
+                 for label, h in sets]
+    halves = [h for _, h in sets]
+    checks = _obligations(spec, kind, elements, sets_json)
+    if checks is None:
+        _diag(diagnostics, "the payload fits no certificate shape")
+        return None
+    checks += auxiliary
+    for c in checks:
+        if not CHECKS[c["check"]](spec, halves, c):
+            _diag(diagnostics, f"structural check {c['check']} failed")
+            return None
+    return PingPongCertificate(kind, spec.spec_hash(), radius, elements,
+                               sets_json, checks, conclusion, data)
 
 
 def _axis_window(spec: AmalgamSpec, g: NormalForm,
@@ -292,20 +375,10 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             if i == k:
                 return True
             for h in anchors[i]:
-                ok = True
-                for j, prev in enumerate(chosen):
-                    if not half_trees_disjoint(h, prev):
-                        ok = False
-                        break
-                    if not half_tree_subset(
-                            image_half_tree(spec, els[i], prev), h):
-                        ok = False
-                        break
-                    if not half_tree_subset(
-                            image_half_tree(spec, els[j], h), prev):
-                        ok = False
-                        break
-                if ok:
+                if all(half_trees_disjoint(h, prev)
+                       and half_tree_subset(image_half_tree(spec, els[i], prev), h)
+                       and half_tree_subset(image_half_tree(spec, els[j], h), prev)
+                       for j, prev in enumerate(chosen)):
                     chosen.append(h)
                     if search(i + 1):
                         return True
@@ -314,47 +387,24 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
 
         if not search(0):
             continue
-        log = _CheckLog(spec, list(chosen))
-        for i in range(k):
-            for j in range(k):
-                log.maps_into(els[i], j, i)
-                if i < j:
-                    log.disjoint(i, j)
-            log.hyperbolic(els[i], cls[i].tau)
-        center = chosen[0].w
-        for i in range(k):
-            log.sampled(els[i], i, i, center, min(radius, SAMPLE_RADIUS))
-        if not log.ok:  # pragma: no cover - search already verified these
-            continue
         names = [f"x{i+1}" + ("^-1" if pattern[i] else "")
                  for i in range(k)]
-        return PingPongCertificate(
-            kind="free-monoid",
-            spec_hash=spec.spec_hash(),
-            radius=radius,
-            elements=[{"role": names[i], "nf": nf_to_json(els[i]),
-                       "inverted": pattern[i], "tau": cls[i].tau}
-                      for i in range(k)],
-            sets=[{"label": f"X{i+1}", "u": _vertex_json(h.u),
-                   "w": _vertex_json(h.w)} for i, h in enumerate(chosen)],
-            checks=log.checks,
-            conclusion=("positive words in {" + ", ".join(names)
-                        + "} are pairwise distinct (free monoid)"),
-            data={"inverted": list(pattern),
-                  "translation_lengths": [c.tau for c in cls]},
-        )
+        sample = min(radius, SAMPLE_RADIUS)
+        # the search verified the inclusions, so this cannot fail
+        return _certificate(
+            spec, "free-monoid", radius,
+            [{"role": names[i], "nf": nf_to_json(els[i]),
+              "inverted": pattern[i], "tau": cls[i].tau} for i in range(k)],
+            [(f"X{i+1}", h) for i, h in enumerate(chosen)],
+            [_check("sampled_maps_into", g=els[i], source=i, target=i,
+                    center=chosen[0].w, radius=sample) for i in range(k)],
+            ("positive words in {" + ", ".join(names)
+             + "} are pairwise distinct (free monoid)"),
+            {"inverted": list(pattern),
+             "translation_lengths": [c.tau for c in cls]},
+            diagnostics)
     _diag(diagnostics, "no disjoint absorbing half-tree family found "
                        f"at radius {radius}")
-    return None
-
-
-def _element_order(spec: AmalgamSpec, g: NormalForm) -> int | None:
-    cap = max(spec.A.order, spec.B.order)
-    acc = g
-    for n in range(1, cap + 1):
-        if is_identity(spec, acc):
-            return n
-        acc = multiply(spec, acc, g)
     return None
 
 
@@ -387,14 +437,14 @@ def _middle_edge(path: list[TreeVertex]) -> tuple[TreeVertex, TreeVertex]:
 
 def _split_elliptic_elliptic(
         spec: AmalgamSpec, gx: list[NormalForm], gy: list[NormalForm],
-        radius: int, cap: int, diagnostics: list[str] | None,
+        radius: int, diagnostics: list[str] | None,
         extra_data: dict) -> PingPongCertificate | None:
     """Free-product split of two finite subgroups with disjoint fixed sets,
     by ping-pong across a middle edge of the connecting segment."""
-    GX = _closure(spec, gx, cap)
-    GY = _closure(spec, gy, cap)
+    GX = _closure(spec, gx, SUBGROUP_CAP)
+    GY = _closure(spec, gy, SUBGROUP_CAP)
     if GX is None or GY is None:
-        _diag(diagnostics, f"generated subgroup exceeds cap {cap}")
+        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
         return None
     fx = _common_fixed(spec, gx, radius)
     fy = _common_fixed(spec, gy, radius)
@@ -407,128 +457,76 @@ def _split_elliptic_elliptic(
     d, p, q = min(((tree_distance(u, v), u, v) for u in fx for v in fy),
                   key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
     m, mp = _middle_edge(geodesic(p, q))
-    sets = [HalfTree(mp, m), HalfTree(m, mp)]   # X holds p, Y holds q
-    log = _CheckLog(spec, sets)
-    log.disjoint(0, 1)
-    for g in GX:
-        if is_identity(spec, g):
-            continue
-        log.fixes(g, p)
-        if not log.maps_into(g, 1, 0):
-            _diag(diagnostics, "a left element does not push Y across "
-                               "the middle edge")
-            return None
-    for h in GY:
-        if is_identity(spec, h):
-            continue
-        log.fixes(h, q)
-        if not log.maps_into(h, 0, 1):
-            _diag(diagnostics, "a right element does not push X across "
-                               "the middle edge")
-            return None
-    if len(GX) == 2 and len(GY) == 2:
-        # two order-2 factors: also witness the product's infinite order
-        prod = multiply(spec, gx[0], gy[0])
-        if not log.hyperbolic(prod, 2 * d):
-            _diag(diagnostics, "order-2/order-2 product is not hyperbolic")
-            return None
-    for g in gx:
-        log.sampled(g, 1, 0, m, min(radius, SAMPLE_RADIUS))
-    for h in gy:
-        log.sampled(h, 0, 1, m, min(radius, SAMPLE_RADIUS))
-    if not log.ok:
-        _diag(diagnostics, "structural checks failed")
-        return None
+    sample = min(radius, SAMPLE_RADIUS)
+    auxiliary = (
+        [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
+        + [_check("fixes_vertex", g=h, v=q) for h in GY if not is_identity(spec, h)]
+        + [_check("sampled_maps_into", g=g, source=1, target=0, center=m,
+                  radius=sample) for g in gx]
+        + [_check("sampled_maps_into", g=h, source=0, target=1, center=m,
+                  radius=sample) for h in gy])
     data = {"left_order": len(GX), "right_order": len(GY),
             "fixed_distance": d}
     data.update(extra_data)
-    return PingPongCertificate(
-        kind="free-product-split",
-        spec_hash=spec.spec_hash(),
-        radius=radius,
-        elements=([{"role": "left", "nf": nf_to_json(g)} for g in gx]
-                  + [{"role": "right", "nf": nf_to_json(h)} for h in gy]),
-        sets=[{"label": "X", "u": _vertex_json(sets[0].u),
-               "w": _vertex_json(sets[0].w)},
-              {"label": "Y", "u": _vertex_json(sets[1].u),
-               "w": _vertex_json(sets[1].w)}],
-        checks=log.checks,
-        conclusion=(f"the generated subgroups (orders {len(GX)}, {len(GY)}) "
-                    "generate their free product"),
-        data=data,
-    )
+    return _certificate(
+        spec, "free-product-split", radius,
+        ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
+         + [{"role": "right", "nf": nf_to_json(h)} for h in gy]),
+        [("X", HalfTree(mp, m)), ("Y", HalfTree(m, mp))],  # X holds p, Y q
+        auxiliary,
+        (f"the generated subgroups (orders {len(GX)}, {len(GY)}) "
+         "generate their free product"),
+        data, diagnostics)
 
 
 def _split_elliptic_hyperbolic(
         spec: AmalgamSpec, gx: list[NormalForm], y: NormalForm,
-        radius: int, cap: int, diagnostics: list[str] | None,
+        radius: int, diagnostics: list[str] | None,
         extra_data: dict) -> PingPongCertificate | None:
     """Free-product split of a finite subgroup and a hyperbolic cyclic group
     whose axis avoids the common fixed set: three half-trees anchored at the
     axis vertex nearest the fixed set."""
-    GX = _closure(spec, gx, cap)
+    GX = _closure(spec, gx, SUBGROUP_CAP)
     if GX is None:
-        _diag(diagnostics, f"generated subgroup exceeds cap {cap}")
+        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
         return None
     fx = _common_fixed(spec, gx, radius)
     if not fx:
         _diag(diagnostics, "no common fixed vertex within radius")
         return None
-    ycls = classify(spec, y)
-    tau = ycls.tau
+    tau = classify(spec, y).tau
     if any(displacement(spec, y, v) == tau for v in fx):
         _diag(diagnostics, "a fixed vertex lies on the axis")
         return None
     axis = axis_segment(spec, y, radius)
     d, p, q = min(((tree_distance(u, v), u, v) for u in fx for v in axis),
                   key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
-    yq = act(spec, y, q)
-    yiq = act(spec, invert(spec, y), q)
     p1 = geodesic(q, p)[1]
-    f = geodesic(q, yq)[1]
-    r = geodesic(q, yiq)[1]
+    f = geodesic(q, act(spec, y, q))[1]
+    r = geodesic(q, act(spec, invert(spec, y), q))[1]
     if len({p1, f, r}) != 3:
         _diag(diagnostics, "axis and fixed-set directions collide")
         return None
-    sets = [HalfTree(q, p1), HalfTree(q, f), HalfTree(q, r)]  # X, Y+, Y-
-    log = _CheckLog(spec, sets)
-    log.disjoint(0, 1)
-    log.disjoint(0, 2)
-    log.disjoint(1, 2)
-    yi = invert(spec, y)
-    ok = (log.hyperbolic(y, tau)
-          and log.maps_into(y, 1, 1) and log.maps_into(y, 0, 1)
-          and log.maps_into(yi, 2, 2) and log.maps_into(yi, 0, 2))
-    for g in GX:
-        if is_identity(spec, g):
-            continue
-        ok = ok and log.fixes(g, p)
-        ok = ok and log.maps_into(g, 1, 0) and log.maps_into(g, 2, 0)
-    for v in fx:
-        log.not_on_axis(y, tau, v)
-    log.sampled(y, 0, 1, q, min(radius, SAMPLE_RADIUS))
-    for g in gx:
-        log.sampled(g, 1, 0, q, min(radius, SAMPLE_RADIUS))
-    if not ok or not log.ok:
-        _diag(diagnostics, "structural checks failed for the "
-                           "elliptic/hyperbolic split")
-        return None
+    sample = min(radius, SAMPLE_RADIUS)
+    auxiliary = (
+        [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
+        + [_check("not_on_axis", g=y, tau=tau, v=v) for v in fx]
+        + [_check("sampled_maps_into", g=y, source=0, target=1, center=q,
+                  radius=sample)]
+        + [_check("sampled_maps_into", g=g, source=1, target=0, center=q,
+                  radius=sample) for g in gx])
     data = {"left_order": len(GX), "translation_length": tau,
             "axis_distance": d}
     data.update(extra_data)
-    return PingPongCertificate(
-        kind="free-product-split",
-        spec_hash=spec.spec_hash(),
-        radius=radius,
-        elements=([{"role": "left", "nf": nf_to_json(g)} for g in gx]
-                  + [{"role": "right", "nf": nf_to_json(y), "tau": tau}]),
-        sets=[{"label": lbl, "u": _vertex_json(h.u), "w": _vertex_json(h.w)}
-              for lbl, h in zip(("X", "Y+", "Y-"), sets)],
-        checks=log.checks,
-        conclusion=(f"the finite subgroup (order {len(GX)}) and the "
-                    "hyperbolic cyclic group generate their free product"),
-        data=data,
-    )
+    return _certificate(
+        spec, "free-product-split", radius,
+        ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
+         + [{"role": "right", "nf": nf_to_json(y), "tau": tau}]),
+        [("X", HalfTree(q, p1)), ("Y+", HalfTree(q, f)), ("Y-", HalfTree(q, r))],
+        auxiliary,
+        (f"the finite subgroup (order {len(GX)}) and the "
+         "hyperbolic cyclic group generate their free product"),
+        data, diagnostics)
 
 
 def _split_hyperbolic_hyperbolic(
@@ -537,7 +535,7 @@ def _split_hyperbolic_hyperbolic(
         ) -> PingPongCertificate | None:
     """Free-product split of two hyperbolic cyclic groups with separated
     axes: four half-trees, one per axis end."""
-    xcls, ycls = classify(spec, x), classify(spec, y)
+    xtau, ytau = classify(spec, x).tau, classify(spec, y).tau
     ax = axis_segment(spec, x, radius)
     ay = axis_segment(spec, y, radius)
     pairs = ((tree_distance(u, v), u, v) for u in ax for v in ay)
@@ -545,52 +543,27 @@ def _split_hyperbolic_hyperbolic(
     if d == 0:
         _diag(diagnostics, "axes intersect within radius")
         return None
-    xi, yi = invert(spec, x), invert(spec, y)
-    fx = geodesic(qx, act(spec, x, qx))[1]
-    rx = geodesic(qx, act(spec, xi, qx))[1]
-    fy = geodesic(qy, act(spec, y, qy))[1]
-    ry = geodesic(qy, act(spec, yi, qy))[1]
-    sets = [HalfTree(qx, fx), HalfTree(qx, rx),
-            HalfTree(qy, fy), HalfTree(qy, ry)]  # X+, X-, Y+, Y-
-    log = _CheckLog(spec, sets)
-    ok = True
-    for i in range(4):
-        for j in range(i + 1, 4):
-            ok = ok and log.disjoint(i, j)
-    ok = ok and log.hyperbolic(x, xcls.tau) and log.hyperbolic(y, ycls.tau)
-    # x drives everything outside X- into X+, and dually; same for y
-    for src in (0, 2, 3):
-        ok = ok and log.maps_into(x, src, 0)
-    for src in (1, 2, 3):
-        ok = ok and log.maps_into(xi, src, 1)
-    for src in (0, 1, 2):
-        ok = ok and log.maps_into(y, src, 2)
-    for src in (0, 1, 3):
-        ok = ok and log.maps_into(yi, src, 3)
-    log.sampled(x, 2, 0, qx, min(radius, SAMPLE_RADIUS))
-    log.sampled(y, 0, 2, qy, min(radius, SAMPLE_RADIUS))
-    if not ok or not log.ok:
-        _diag(diagnostics, "structural checks failed for the "
-                           "hyperbolic/hyperbolic split")
-        return None
-    return PingPongCertificate(
-        kind="free-product-split",
-        spec_hash=spec.spec_hash(),
-        radius=radius,
-        elements=[{"role": "left", "nf": nf_to_json(x), "tau": xcls.tau},
-                  {"role": "right", "nf": nf_to_json(y), "tau": ycls.tau}],
-        sets=[{"label": lbl, "u": _vertex_json(h.u), "w": _vertex_json(h.w)}
-              for lbl, h in zip(("X+", "X-", "Y+", "Y-"), sets)],
-        checks=log.checks,
-        conclusion="the two hyperbolic cyclic groups generate their free product",
-        data={"axis_distance": d,
-              "translation_lengths": [xcls.tau, ycls.tau]},
-    )
+    ends = [geodesic(q, act(spec, g, q))[1]
+            for q, g in ((qx, x), (qx, invert(spec, x)),
+                         (qy, y), (qy, invert(spec, y)))]
+    sample = min(radius, SAMPLE_RADIUS)
+    return _certificate(
+        spec, "free-product-split", radius,
+        [{"role": "left", "nf": nf_to_json(x), "tau": xtau},
+         {"role": "right", "nf": nf_to_json(y), "tau": ytau}],
+        [(label, HalfTree(q, end)) for label, q, end
+         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)],
+        [_check("sampled_maps_into", g=x, source=2, target=0, center=qx,
+                radius=sample),
+         _check("sampled_maps_into", g=y, source=0, target=2, center=qy,
+                radius=sample)],
+        "the two hyperbolic cyclic groups generate their free product",
+        {"axis_distance": d, "translation_lengths": [xtau, ytau]},
+        diagnostics)
 
 
 def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
                        right: list[NormalForm], radius: int | None = None,
-                       cap: int = SUBGROUP_CAP,
                        diagnostics: list[str] | None = None,
                        ) -> PingPongCertificate | None:
     """Certificate that the subgroups generated by `left` and `right` meet
@@ -606,12 +579,10 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
         return None
     if radius is None:
         radius = default_radius(left + right)
-    lcls = [classify(spec, g) for g in left]
-    rcls = [classify(spec, g) for g in right]
-    l_ell = all(c.elliptic for c in lcls)
-    r_ell = all(c.elliptic for c in rcls)
+    l_ell = all(classify(spec, g).elliptic for g in left)
+    r_ell = all(classify(spec, g).elliptic for g in right)
     if l_ell and r_ell:
-        return _split_elliptic_elliptic(spec, left, right, radius, cap,
+        return _split_elliptic_elliptic(spec, left, right, radius,
                                         diagnostics, {})
     if not l_ell and not r_ell:
         if len(left) == 1 and len(right) == 1:
@@ -628,7 +599,7 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
         _diag(diagnostics, "the hyperbolic side must be a single element")
         return None
     y = hyp_list[0]
-    cert = _split_elliptic_hyperbolic(spec, ell, y, radius, cap,
+    cert = _split_elliptic_hyperbolic(spec, ell, y, radius,
                                       diagnostics, {"ell": 0})
     if cert is not None:
         return cert
@@ -637,21 +608,21 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
         _diag(diagnostics, "power search needs a single elliptic generator")
         return None
     x = ell[0]
-    order = _element_order(spec, x)
-    if order is None:
-        _diag(diagnostics, "could not determine the elliptic element's order")
+    powers = _closure(spec, [x], SUBGROUP_CAP)
+    if powers is None:
+        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
         return None
+    order = len(powers)
     power = x
     for ell_exp in range(1, order):
         y2 = multiply(spec, y, power)
         power = multiply(spec, power, x)
-        c2 = classify(spec, y2)
-        if c2.hyperbolic:
+        if classify(spec, y2).hyperbolic:
             cert = _split_elliptic_hyperbolic(
-                spec, [x], y2, radius, cap, diagnostics, {"ell": ell_exp})
+                spec, [x], y2, radius, diagnostics, {"ell": ell_exp})
         else:
             cert = _split_elliptic_elliptic(
-                spec, [x], [y2], radius, cap, diagnostics, {"ell": ell_exp})
+                spec, [x], [y2], radius, diagnostics, {"ell": ell_exp})
         if cert is not None:
             return cert
     _diag(diagnostics, f"no power l in 0..{order - 1} produced a split "

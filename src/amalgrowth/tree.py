@@ -315,32 +315,3 @@ def elliptic_product_check(spec: AmalgamSpec, x: NormalForm, y: NormalForm,
     return EllipticProductReport(True, True, cls.tau, d,
                                  "tau = 2 d(Fix,Fix); segment and images on axis")
 
-
-def common_invariant_line(spec: AmalgamSpec, elements: list[NormalForm],
-                          radius: int) -> list[TreeVertex] | None:
-    """A common invariant line for all the elements, as an ordered segment
-    within the ball, or None.
-
-    The candidate is the axis of a hyperbolic element among the inputs or
-    their pairwise products; every element must map the candidate's ball
-    portion back onto the axis (exact membership test)."""
-    candidates = []
-    for g in elements:
-        if classify(spec, g).hyperbolic:
-            candidates.append(g)
-    if not candidates:
-        for i, x in enumerate(elements):
-            for y in elements[i + 1:]:
-                p = multiply(spec, x, y)
-                if classify(spec, p).hyperbolic:
-                    candidates.append(p)
-    if not candidates:
-        return None
-    h = candidates[0]
-    tau = classify(spec, h).tau
-    segment = axis_segment(spec, h, radius)
-    for g in elements:
-        for v in segment:
-            if not on_axis(spec, h, tau, act(spec, g, v)):
-                return None
-    return segment

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +73,30 @@ def test_inverse_and_identity(data):
 def test_json_round_trip(data):
     entry, u, _ = data
     g = _nf(entry, u)
-    assert nf_from_json(nf_to_json(g)) == g
+    assert nf_from_json(entry.spec, nf_to_json(g)) == g
+
+
+def _malformed_forms(spec):
+    a = spec.transA.reps[1]
+    not_a_rep = next(x for x in range(spec.A.order) if x not in spec.transA.reps)
+    return {
+        "not-alternating": {"syllables": [[SIDE_A, a], [SIDE_A, a]], "head": 0},
+        "identity-syllable": {"syllables": [[SIDE_A, spec.A.identity]], "head": 0},
+        "not-a-rep": {"syllables": [[SIDE_A, not_a_rep]], "head": 0},
+        "side-2": {"syllables": [[2, a]], "head": 0},
+        "three-fields": {"syllables": [[SIDE_A, a, 0]], "head": 0},
+        "head-outside-C": {"syllables": [], "head": spec.C.order},
+        "head-is-float": {"syllables": [], "head": 0.0},
+        "rep-is-bool": {"syllables": [[SIDE_A, True]], "head": 0},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_forms(
+    catalog_load("pgl2z").spec)))
+def test_nf_from_json_rejects_malformed_forms(case):
+    spec = catalog_load("pgl2z").spec
+    with pytest.raises(ValueError):
+        nf_from_json(spec, _malformed_forms(spec)[case])
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from amalgrowth import cli
 from amalgrowth.pingpong import PingPongCertificate, replay
 from amalgrowth.catalog import catalog_load
+from amalgrowth.verify import CriterionResult
 
 
 def _json_out(capsys):
@@ -129,3 +130,18 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_verify_paper_prints_lines_only_without_out(tmp_path, capsys,
+                                                    monkeypatch):
+    stub = [CriterionResult("criterion-a", True, "first"),
+            CriterionResult("criterion-b", False, "second")]
+    monkeypatch.setattr(cli, "run_all", lambda seed: stub)
+    out = tmp_path / "paper.json"
+    assert cli.main(["verify-paper", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert [r["name"] for r in report["results"]] == ["criterion-a",
+                                                      "criterion-b"]
+    assert cli.main(["verify-paper"]) == 1
+    assert capsys.readouterr().out.splitlines() == [r.line() for r in stub]

@@ -1,9 +1,19 @@
 import copy
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amalgrowth.amalgam import Word, identity_nf, is_identity, multiply, reduce_word
+from amalgrowth.amalgam import (
+    identity_nf,
+    invert,
+    is_identity,
+    multiply,
+    nf_from_json,
+    nf_to_json,
+)
 from amalgrowth.catalog import catalog_load, parse_word
 from amalgrowth.pingpong import (
     SUBGROUP_CAP,
@@ -68,7 +78,6 @@ def test_monoid_certificate_for_independent_hyperbolics():
     assert replay(entry.spec, cert)
     # the certificate records which inputs were replaced by their inverses;
     # positive words in the certified basis give distinct elements
-    from amalgrowth.amalgam import invert
     spec = entry.spec
     basis = [invert(spec, g) if inv else g
              for g, inv in zip(elems, cert.data["inverted"])]
@@ -124,20 +133,153 @@ def _set(key, value):
     return lambda check: check.update({key: value})
 
 
-@pytest.mark.parametrize("mutate, accepted", [
-    (lambda check: None, True),
-    (_drop("g"), False),
-    (_drop("check"), False),
-    (_set("source", 9), False),
-    (_set("g", 5), False),
-], ids=["valid", "no-g", "no-check", "set-index-9", "g-is-int"])
-def test_replay_is_total_on_malformed_checks(mutate, accepted):
+@pytest.mark.parametrize("kind, mutate, accepted", [
+    ("maps_into", lambda check: None, True),
+    ("maps_into", _drop("g"), False),
+    ("maps_into", _drop("check"), False),
+    ("maps_into", _set("source", 9), False),
+    ("maps_into", _set("g", 5), False),
+    ("maps_into", _set("g", {"syllables": [[0, 1], [0, 1]], "head": 0}), False),
+    ("sampled_maps_into", _set("radius", -1), False),
+    ("sampled_maps_into", _set("center", {"side": 0, "key": [[0, 1]]}), False),
+], ids=["valid", "no-g", "no-check", "set-index-9", "g-is-int",
+        "g-not-alternating", "sampled-radius-negative",
+        "center-not-canonical"])
+def test_replay_is_total_on_malformed_checks(kind, mutate, accepted):
     entry = catalog_load("pgl2z")
     cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))
     d = copy.deepcopy(cert.to_json())
-    assert d["checks"][0]["check"] == "maps_into"
-    mutate(d["checks"][0])
+    mutate(next(c for c in d["checks"] if c["check"] == kind))
     assert replay(entry.spec, PingPongCertificate.from_json(d)) is accepted
+
+
+def _without_disjoint(d):
+    d["checks"] = [c for c in d["checks"] if c["check"] != "disjoint"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(checks=[]),
+    lambda d: d["elements"][0].update(
+        nf=nf_to_json(parse_word(catalog_load("pgl2z"), "a"))),
+    _without_disjoint,
+    lambda d: d["sets"][0]["w"].update(key=[[1, 1], [1, 1]]),
+], ids=["no-checks", "element-replaced", "no-disjoint", "vertex-not-alternating"])
+def test_replay_requires_the_obligations_of_the_shape(mutate):
+    entry = catalog_load("pgl2z")
+    cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))
+    d = copy.deepcopy(cert.to_json())
+    mutate(d)
+    assert not replay(entry.spec, PingPongCertificate.from_json(d))
+
+
+def _hyperbolic_pair():
+    """Two hyperbolic elements of C2*C5 with disjoint axes: x and a
+    conjugate of x."""
+    entry = catalog_load("c2*c5")
+    spec = entry.spec
+    x = parse_word(entry, "a b")
+    h = parse_word(entry, "b a b b")
+    return entry, x, multiply(spec, multiply(spec, h, x), invert(spec, h))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_certificate_per_shape():
+    """(entry, certificate JSON) for the free monoid and each split shape."""
+    pgl2z, c2c3 = catalog_load("pgl2z"), catalog_load("c2*c3")
+    c2c5, x, y = _hyperbolic_pair()
+    certs = [
+        (pgl2z, certify_free_monoid(pgl2z.spec, _elements(pgl2z, "b c", "a b c"))),
+        (c2c3, certify_free_split(c2c3.spec, _elements(c2c3, "a"),
+                                  _elements(c2c3, "b"))),
+        (pgl2z, certify_free_split(pgl2z.spec, _elements(pgl2z, "b"),
+                                   _elements(pgl2z, "b c"))),
+        (c2c3, certify_free_split(c2c3.spec, _elements(c2c3, "a"),
+                                  _elements(c2c3, "b a b"))),
+        (c2c5, certify_free_split(c2c5.spec, [x], [y], radius=6)),
+    ]
+    shapes = {tuple(s["label"] for s in cert.sets) for _, cert in certs}
+    assert shapes == {("X1", "X2"), ("X", "Y"), ("X", "Y+", "Y-"),
+                      ("X+", "X-", "Y+", "Y-")}
+    return tuple((entry, cert.to_json()) for entry, cert in certs)
+
+
+STRUCTURAL = {"disjoint", "maps_into", "hyperbolic"}
+
+
+def test_replay_needs_every_structural_check_and_no_auxiliary_one():
+    for entry, d in _one_certificate_per_shape():
+        assert replay(entry.spec, PingPongCertificate.from_json(d))
+        for i, check in enumerate(d["checks"]):
+            mutant = copy.deepcopy(d)
+            del mutant["checks"][i]
+            accepted = replay(entry.spec, PingPongCertificate.from_json(mutant))
+            assert accepted is (check["check"] not in STRUCTURAL), check
+
+
+def _paths(node, path=()):
+    """Every position in a JSON value, the root included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+def _positive_words_are_distinct(spec, elements, length=4):
+    """Oracle by `multiply` alone: the products of the positive words of
+    length <= `length` over the elements are pairwise distinct."""
+    seen = {identity_nf(spec).key()}
+    level = [identity_nf(spec)]
+    for _ in range(length):
+        level = [multiply(spec, g, x) for g in level for x in elements]
+        for g in level:
+            if g.key() in seen:
+                return False
+            seen.add(g.key())
+    return True
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                 st.floats(allow_nan=True), st.text(max_size=3),
+                 st.lists(st.integers(-1, 3), max_size=3),
+                 st.dictionaries(st.sampled_from(["side", "key", "syllables",
+                                                  "head", "check", "g"]),
+                                 st.integers(-1, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replay_on_mutated_certificates(data):
+    entry, valid = data.draw(st.sampled_from(_one_certificate_per_shape()))
+    d = copy.deepcopy(valid)
+    mutation = data.draw(st.sampled_from(
+        ["permute", "duplicate", "element", "field"]))
+    if mutation == "permute":
+        d["checks"] = data.draw(st.permutations(d["checks"]))
+    elif mutation == "duplicate":
+        d["checks"].append(copy.deepcopy(data.draw(st.sampled_from(d["checks"]))))
+    elif mutation == "element":
+        word = " ".join(data.draw(st.lists(
+            st.sampled_from(sorted(entry.alphabet)), min_size=1, max_size=4)))
+        i = data.draw(st.integers(0, len(d["elements"]) - 1))
+        d["elements"][i]["nf"] = nf_to_json(parse_word(entry, word))
+    else:
+        path = data.draw(st.sampled_from(list(_paths(d))[1:]))
+        d = _replace(d, path, data.draw(JUNK))
+    accepted = replay(entry.spec, PingPongCertificate.from_json(d))
+    assert accepted in (True, False)
+    if mutation in ("permute", "duplicate"):
+        assert accepted
+    if accepted and d["kind"] == "free-monoid":
+        elements = [nf_from_json(entry.spec, e["nf"]) for e in d["elements"]]
+        assert _positive_words_are_distinct(entry.spec, elements)
 
 
 @pytest.mark.parametrize("name, words, order", [
@@ -170,6 +312,24 @@ def test_split_certificate_recovers_the_defining_splitting():
     assert cert is not None
     assert "orders 2, 3" in cert.conclusion
     assert replay(entry.spec, cert)
+    # every non-identity element of <a> and <b> pushes the other set across
+    a, b = _elements(entry, "a", "b")
+    pushed = [c["g"] for c in cert.checks if c["check"] == "maps_into"]
+    expected = [a, b, multiply(entry.spec, b, b)]
+    assert sorted(map(str, pushed)) == sorted(str(nf_to_json(g)) for g in expected)
+
+
+def test_split_of_two_involutions_needs_the_hyperbolic_product():
+    # two subgroups of order 2 also need their product to have infinite order
+    entry = catalog_load("c2*c2")
+    cert = certify_free_split(entry.spec, _elements(entry, "a"),
+                              _elements(entry, "b"))
+    assert cert is not None
+    d = cert.to_json()
+    ab = nf_to_json(parse_word(entry, "a b"))
+    assert [c["g"] for c in d["checks"] if c["check"] == "hyperbolic"] == [ab]
+    d["checks"] = [c for c in d["checks"] if c["check"] != "hyperbolic"]
+    assert not replay(entry.spec, PingPongCertificate.from_json(d))
 
 
 def test_split_certificate_elliptic_hyperbolic():
@@ -182,16 +342,22 @@ def test_split_certificate_elliptic_hyperbolic():
 
 
 def test_split_certificate_hyperbolic_hyperbolic():
-    from amalgrowth.amalgam import invert
-    entry = catalog_load("c2*c5")
-    spec = entry.spec
-    x = parse_word(entry, "a b")
-    h = parse_word(entry, "b a b b")
-    y = multiply(spec, multiply(spec, h, x), invert(spec, h))
-    cert = certify_free_split(spec, [x], [y])
+    entry, x, y = _hyperbolic_pair()
+    cert = certify_free_split(entry.spec, [x], [y])
     assert cert is not None
     assert cert.kind == "free-product-split"
-    assert replay(spec, cert)
+    assert replay(entry.spec, cert)
+
+
+def test_split_certificate_elliptic_hyperbolic_without_power_search():
+    # the axis of b a b misses the vertex fixed by a
+    entry = catalog_load("c2*c3")
+    cert = certify_free_split(entry.spec, _elements(entry, "a"),
+                              _elements(entry, "b a b"))
+    assert cert is not None
+    assert [s["label"] for s in cert.sets] == ["X", "Y+", "Y-"]
+    assert cert.data["ell"] == 0
+    assert replay(entry.spec, cert)
 
 
 def test_split_certificate_edge_group_element_is_inconclusive():

@@ -6,15 +6,17 @@ coset representatives strictly alternating between the A and B factors, and
 the head c lies in C (appended on the right).  Free products are the special
 case of trivial C.  Uniqueness of this form makes equality testing, and
 therefore exact ball enumeration, a tuple comparison.  The ball enumerator
-works on a flat int-tuple encoding of the same forms (`encode_flat`), with
-right multiplication by a letter done through per-letter tail tables
-(`TailTable`); `multiply` stays the reference arithmetic.
+packs each form into one int (`encode_flat`: one base-2^w digit per
+syllable, the head lowest) and right-multiplies by a whole letter set through
+one `StepTable`, which rewrites only the low digits; `multiply` stays the
+reference arithmetic.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import Embedding, FiniteGroup, Transversal, coset_transversal
 
@@ -55,6 +57,12 @@ class AmalgamSpec:
 
     def transversal(self, side: int) -> Transversal:
         return self.transA if side == SIDE_A else self.transB
+
+    @cached_property
+    def digit_bits(self) -> int:
+        """Bits per digit of the packed form (`encode_flat`): enough for a
+        syllable digit 1 + side + 2 * rep and for a head in C."""
+        return max(2 * max(self.A.order, self.B.order), self.C.order - 1).bit_length()
 
     def spec_hash(self) -> str:
         payload = {
@@ -131,34 +139,58 @@ def multiply(spec: AmalgamSpec, x: NormalForm, y: NormalForm) -> NormalForm:
     return NormalForm(tuple(syl), head)
 
 
-def encode_flat(x: NormalForm) -> tuple[int, ...]:
-    """The flat form (code1, ..., coden, head) of x, code = side + 2 * rep:
-    one hashable int tuple, the BFS engine's element and set key."""
-    return tuple([side + 2 * elem for side, elem in x.syllables] + [x.head])
+def encode_flat(spec: AmalgamSpec, x: NormalForm) -> int:
+    """The packed form of x, the BFS engine's element and set key: one int in
+    base 2^w (w = `spec.digit_bits`) with the head as the lowest digit and
+    each syllable above it as the digit 1 + side + 2 * rep, the last syllable
+    lowest.  Syllable digits are never 0, so the value alone fixes the
+    length."""
+    w = spec.digit_bits
+    v = 0
+    for side, rep in x.syllables:
+        v = v << w | 1 + side + 2 * rep
+    return v << w | x.head
 
 
-def decode_flat(t: tuple[int, ...]) -> NormalForm:
-    return NormalForm(tuple((c & 1, c >> 1) for c in t[:-1]), t[-1])
+def decode_flat(spec: AmalgamSpec, v: int) -> NormalForm:
+    w = spec.digit_bits
+    m = (1 << w) - 1
+    head = v & m
+    syl = []
+    v >>= w
+    while v:
+        d = (v & m) - 1
+        syl.append((d & 1, d >> 1))
+        v >>= w
+    return NormalForm(tuple(reversed(syl)), head)
 
 
-class TailTable(dict):
-    """Right multiplication of flat forms by one letter of k syllables.
+class StepTable(dict):
+    """Right multiplication of packed forms by every letter of a list.
 
-    Each syllable of the letter merges with at most one trailing syllable of
-    x, so only the tail x[cut:] (the last k syllables and the head, cut =
-    -(k+1)) changes: x * letter == x[:cut] + table[x[cut:]].  The table maps
-    tails to their products and fills itself on first use.
+    Each syllable of a letter merges with at most one trailing syllable of x,
+    so with K the syllable length of the longest letter only the tail
+    x & mask (the last K syllables and the head) changes: x * letter ==
+    (x >> shift) << s | t, shift = (K + 1) * w, where (t, s) is the packed
+    product of the tail and the letter and its bit width.  The table maps a
+    tail to those pairs in letter order and fills itself on first use.
     """
 
-    def __init__(self, spec: AmalgamSpec, letter: NormalForm):
+    def __init__(self, spec: AmalgamSpec, letters: list[NormalForm]):
         super().__init__()
         self.spec = spec
-        self.letter = letter
-        self.cut = -(len(letter.syllables) + 1)
+        self.letters = letters
+        self.shift = (max((len(l.syllables) for l in letters), default=0)
+                      + 1) * spec.digit_bits
+        self.mask = (1 << self.shift) - 1
 
-    def __missing__(self, tail: tuple[int, ...]) -> tuple[int, ...]:
-        y = self[tail] = encode_flat(multiply(self.spec, decode_flat(tail), self.letter))
-        return y
+    def __missing__(self, tail: int) -> tuple[tuple[int, int], ...]:
+        spec, w = self.spec, self.spec.digit_bits
+        x = decode_flat(spec, tail)
+        products = [multiply(spec, x, l) for l in self.letters]
+        row = self[tail] = tuple((encode_flat(spec, y), (len(y.syllables) + 1) * w)
+                                 for y in products)
+        return row
 
 
 def invert(spec: AmalgamSpec, x: NormalForm) -> NormalForm:

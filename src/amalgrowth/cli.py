@@ -98,6 +98,9 @@ def cmd_growth(args) -> int:
     report["ball"] = list(table.ball)
     report["truncated"] = table.truncated
     report["level_seconds"] = list(table.timings)
+    report["level_candidates"] = list(table.candidates)
+    report["level_new"] = list(table.sphere)
+    report["level_duplicates"] = [c - n for c, n in zip(table.candidates, table.sphere)]
     # ru_maxrss is in KiB on Linux
     report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:

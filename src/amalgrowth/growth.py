@@ -7,15 +7,17 @@ and every run is deterministic.  Ball tables, sphere streams, geodesic words,
 subgroup closures and generation checks are all consumers of it; it runs on
 one thread.
 
-Inside the engine an element is a flat int tuple (code1, ..., coden, head)
-(`amalgam.encode_flat`).  Right multiplication by a letter of k syllables
-rewrites only the last k syllables and the head, so each letter gets an
-`amalgam.TailTable`, filled on first use, mapping that tail to its product: a
-step is one dict lookup and one tuple splice.  When the letters are closed
-under inversion, every neighbour of sphere n lies in sphere n-1, n or n+1, and
-the seen set keeps only those three spheres; one-sided letters (subgroup
-closures, `include_inverses=False`) keep every element met.  The element
-budget counts elements the same way in both cases.
+Inside the engine an element is one int, its normal form packed one
+syllable per base-2^w digit with the head lowest (`amalgam.encode_flat`).
+Right multiplication by a letter of at most K syllables rewrites only the
+last K syllables and the head, the low digits, so one `amalgam.StepTable`,
+filled on first use, maps that tail to its products with every letter: a
+step is one dict lookup per element and one shift-and-or per letter.  When
+the letters are closed under inversion, every neighbour of sphere n lies in
+sphere n-1, n or n+1, and the seen set keeps only those three spheres;
+one-sided letters (subgroup closures, `include_inverses=False`) keep every
+element met.  The element budget counts elements the same way in both
+cases.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .amalgam import (
     AmalgamSpec,
     NormalForm,
-    TailTable,
+    StepTable,
     decode_flat,
     encode_flat,
     identity_nf,
@@ -73,6 +75,9 @@ class GrowthTable:
     timings: tuple[float, ...]
     spec_hash: str
     generators: tuple[str, ...]
+    # products tried per level, len(previous sphere) * len(letters); the
+    # identity is level 0's one candidate
+    candidates: tuple[int, ...]
 
 
 def _named_letters(spec: AmalgamSpec, gens: GenSet,
@@ -94,7 +99,7 @@ def _named_letters(spec: AmalgamSpec, gens: GenSet,
 def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             budget: int | None = None):
     """Yield the spheres of the Cayley graph of `letters`, starting with the
-    radius-0 sphere [identity]: each as a list of flat forms
+    radius-0 sphere [identity]: each as a list of packed forms
     (`amalgam.encode_flat`) in discovery order (frontier order, then letter
     order), holding the right products not seen at any smaller radius.
 
@@ -102,11 +107,12 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
     iteration stops silently before a level whose worst case
     (elements so far) + len(frontier) * len(letters) would exceed it.
     """
-    steps = [(t.cut, t) for t in (TailTable(spec, l) for l in letters)]
+    table = StepTable(spec, letters)
+    shift, mask = table.shift, table.mask
     symmetric = {l.key() for l in letters} == {invert(spec, l).key() for l in letters}
-    frontier = [encode_flat(identity_nf(spec))]
+    frontier = [encode_flat(spec, identity_nf(spec))]
     seen = set(frontier)
-    older: list[tuple[int, ...]] = []
+    older: list[int] = []
     total = 1
     yield frontier
     while frontier:
@@ -114,8 +120,9 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             return
         nxt = []
         for x in frontier:
-            for cut, table in steps:
-                y = x[:cut] + table[x[cut:]]
+            prefix = x >> shift
+            for t, s in table[x & mask]:
+                y = prefix << s | t
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -154,6 +161,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     next(levels)
     sphere = [1]
     timings = [0.0]
+    candidates = [1]
     truncated = False
     for _ in range(nmax):
         t0 = time.perf_counter()
@@ -161,6 +169,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         if nxt is None:
             truncated = True
             break
+        candidates.append(sphere[-1] * len(letters))
         sphere.append(len(nxt))
         timings.append(time.perf_counter() - t0)
         if not nxt:
@@ -178,6 +187,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         timings=tuple(timings),
         spec_hash=spec.spec_hash(),
         generators=gens.names,
+        candidates=tuple(candidates),
     )
 
 
@@ -225,8 +235,8 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     if is_identity(spec, g):
         return (0, [])
     named = _named_letters(spec, gens, include_inverses)
-    target = encode_flat(g)
-    spheres: list[dict[tuple, int]] = []
+    target = encode_flat(spec, g)
+    spheres: list[dict[int, int]] = []
     for n, sphere in zip(range(nmax + 1), _levels(spec, [l for _, l in named])):
         spheres.append({x: i for i, x in enumerate(sphere)})
         if target in spheres[-1]:
@@ -239,9 +249,9 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     word = []
     y = g
     for prev in reversed(spheres[:-1]):
-        preds = [encode_flat(multiply(spec, y, li)) for li in inverses]
+        preds = [encode_flat(spec, multiply(spec, y, li)) for li in inverses]
         _, j = min((prev[x], j) for j, x in enumerate(preds) if x in prev)
-        y = decode_flat(preds[j])
+        y = decode_flat(spec, preds[j])
         word.append(named[j][0])
     word.reverse()
     return (n, word)

@@ -9,9 +9,16 @@ set" reduce to a constant number of exact distance computations.
 
 `replay` derives from the payload's kind, elements and sets the checks that
 the ping-pong lemma needs for its shape (`_obligations`), requires each of
-them to be listed, and re-runs every listed check.  Auxiliary checks (fixed
-vertices, vertices off an axis, sampled ball inclusions) are re-run when
-present but never required: sampled checks are evidence, not proof.
+them to be listed, and re-runs every listed check.  It also binds the rest of
+the statement: the conclusion must be the text the payload's own fields give
+(`_conclusion`), the subgroup orders in `data` must be those of the generated
+subgroups, and a monoid element's `inverted` flag must match its role.
+Auxiliary checks (fixed vertices, vertices off an axis, sampled ball
+inclusions) are re-run when present but never required: sampled checks are
+evidence, not proof.  The remaining fields are unchecked hints: `radius` (the
+search radius), and in `data` the power `ell` (the certified right element is
+y x^ell for the input y), the distances, translation lengths and the copy of
+the inversion pattern.
 
 Success is a proof; failure is always inconclusive (never a refutation).
 """
@@ -180,9 +187,11 @@ CHECKS = {
 
 
 def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
-                 sets: list[dict]) -> list[dict] | None:
+                 sets: list[dict], data: dict) -> list[dict] | None:
     """The checks the ping-pong lemma (de la Harpe, Topics in Geometric Group
-    Theory, II.B) needs for the payload's shape, or None when it fits none.
+    Theory, II.B) needs for the payload's shape, or None when it fits none
+    (which includes a monoid element whose `inverted` flag disagrees with its
+    role, and a `data` order other than its subgroup's).
 
     The shape is read from the kind, the element roles and the set labels:
     - free monoid x1..xk on X1..Xk: X_i pairwise disjoint, x_i(X_j) in X_i
@@ -204,7 +213,8 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
     if kind == "free-monoid":
         if (k < 2 or labels != [f"X{i+1}" for i in range(k)]
                 or any(r not in (f"x{i+1}", f"x{i+1}^-1")
-                       for i, r in enumerate(roles))):
+                       or e["inverted"] is not r.endswith("^-1")
+                       for i, (r, e) in enumerate(zip(roles, elements)))):
             return None
         out = []
         for i, g in enumerate(nfs):
@@ -224,7 +234,8 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
     if labels == ["X", "Y"]:
         GX = _closure(spec, left, SUBGROUP_CAP)
         GY = _closure(spec, right, SUBGROUP_CAP)
-        if GX is None or GY is None:
+        if (GX is None or GY is None or data["left_order"] != len(GX)
+                or data["right_order"] != len(GY)):
             return None
         out = (disjoint
                + [_check("maps_into", g=g, source=1, target=0)
@@ -238,7 +249,7 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
         return out
     if labels == ["X", "Y+", "Y-"] and len(right) == 1:
         GX = _closure(spec, left, SUBGROUP_CAP)
-        if GX is None:
+        if GX is None or data["left_order"] != len(GX):
             return None
         y, yi = right[0], invert(spec, right[0])
         out = disjoint + [
@@ -267,17 +278,38 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
     return None
 
 
+def _conclusion(kind: str, elements: list[dict], sets: list[dict],
+                data: dict) -> str:
+    """What a certificate of a shape `_obligations` accepts proves, from the
+    payload's own roles, set labels and subgroup orders."""
+    labels = [s["label"] for s in sets]
+    if kind == "free-monoid":
+        return ("positive words in {" + ", ".join(e["role"] for e in elements)
+                + "} are pairwise distinct (free monoid)")
+    if labels == ["X", "Y"]:
+        return (f"the generated subgroups (orders {data['left_order']}, "
+                f"{data['right_order']}) generate their free product")
+    if labels == ["X", "Y+", "Y-"]:
+        return (f"the finite subgroup (order {data['left_order']}) and the "
+                "hyperbolic cyclic group generate their free product")
+    return "the two hyperbolic cyclic groups generate their free product"
+
+
 def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
     """Accept a certificate iff it is for this spec, its sets are edges,
-    every check its shape requires (`_obligations`) is listed, and every
-    listed check holds.  A malformed payload is rejected, never raised on."""
+    every check its shape requires (`_obligations`) is listed, every listed
+    check holds and its conclusion is the one its fields imply
+    (`_conclusion`).  A malformed payload is rejected, never raised on."""
     if spec.spec_hash() != cert.spec_hash:
         return False
     try:
         sets = [HalfTree(_vertex_from_json(spec, s["u"]),
                          _vertex_from_json(spec, s["w"])) for s in cert.sets]
-        required = _obligations(spec, cert.kind, cert.elements, cert.sets)
+        required = _obligations(spec, cert.kind, cert.elements, cert.sets,
+                                cert.data)
         return (required is not None
+                and cert.conclusion == _conclusion(cert.kind, cert.elements,
+                                                   cert.sets, cert.data)
                 and all(tree_distance(s.u, s.w) == 1 for s in sets)
                 and all(c in cert.checks for c in required)
                 and all(CHECKS[c["check"]](spec, sets, c) for c in cert.checks))
@@ -296,14 +328,14 @@ def _diag(diagnostics: list[str] | None, msg: str) -> None:
 
 def _certificate(spec: AmalgamSpec, kind: str, radius: int,
                  elements: list[dict], sets: list[tuple[str, HalfTree]],
-                 auxiliary: list[dict], conclusion: str, data: dict,
+                 auxiliary: list[dict], data: dict,
                  diagnostics: list[str] | None) -> PingPongCertificate | None:
     """The certificate whose checks are its shape's obligations followed by
     the auxiliary checks, or None when one of them fails."""
     sets_json = [{"label": label, "u": _vertex_json(h.u), "w": _vertex_json(h.w)}
                  for label, h in sets]
     halves = [h for _, h in sets]
-    checks = _obligations(spec, kind, elements, sets_json)
+    checks = _obligations(spec, kind, elements, sets_json, data)
     if checks is None:
         _diag(diagnostics, "the payload fits no certificate shape")
         return None
@@ -313,7 +345,9 @@ def _certificate(spec: AmalgamSpec, kind: str, radius: int,
             _diag(diagnostics, f"structural check {c['check']} failed")
             return None
     return PingPongCertificate(kind, spec.spec_hash(), radius, elements,
-                               sets_json, checks, conclusion, data)
+                               sets_json, checks,
+                               _conclusion(kind, elements, sets_json, data),
+                               data)
 
 
 def _axis_window(spec: AmalgamSpec, g: NormalForm,
@@ -398,8 +432,6 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             [(f"X{i+1}", h) for i, h in enumerate(chosen)],
             [_check("sampled_maps_into", g=els[i], source=i, target=i,
                     center=chosen[0].w, radius=sample) for i in range(k)],
-            ("positive words in {" + ", ".join(names)
-             + "} are pairwise distinct (free monoid)"),
             {"inverted": list(pattern),
              "translation_lengths": [c.tau for c in cls]},
             diagnostics)
@@ -411,12 +443,12 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
 def _closure(spec: AmalgamSpec, gens: list[NormalForm],
              cap: int) -> list[NormalForm] | None:
     """All elements of the generated subgroup, or None past the cap."""
-    elements: list[tuple[int, ...]] = []
+    elements: list[int] = []
     for sphere in _levels(spec, gens):
         elements += sphere
         if len(elements) > cap:
             return None
-    return sorted(map(decode_flat, elements), key=NormalForm.key)
+    return sorted((decode_flat(spec, x) for x in elements), key=NormalForm.key)
 
 
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],
@@ -473,10 +505,7 @@ def _split_elliptic_elliptic(
         ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
          + [{"role": "right", "nf": nf_to_json(h)} for h in gy]),
         [("X", HalfTree(mp, m)), ("Y", HalfTree(m, mp))],  # X holds p, Y q
-        auxiliary,
-        (f"the generated subgroups (orders {len(GX)}, {len(GY)}) "
-         "generate their free product"),
-        data, diagnostics)
+        auxiliary, data, diagnostics)
 
 
 def _split_elliptic_hyperbolic(
@@ -523,10 +552,7 @@ def _split_elliptic_hyperbolic(
         ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
          + [{"role": "right", "nf": nf_to_json(y), "tau": tau}]),
         [("X", HalfTree(q, p1)), ("Y+", HalfTree(q, f)), ("Y-", HalfTree(q, r))],
-        auxiliary,
-        (f"the finite subgroup (order {len(GX)}) and the "
-         "hyperbolic cyclic group generate their free product"),
-        data, diagnostics)
+        auxiliary, data, diagnostics)
 
 
 def _split_hyperbolic_hyperbolic(
@@ -557,7 +583,6 @@ def _split_hyperbolic_hyperbolic(
                 radius=sample),
          _check("sampled_maps_into", g=y, source=0, target=2, center=qy,
                 radius=sample)],
-        "the two hyperbolic cyclic groups generate their free product",
         {"axis_distance": d, "translation_lengths": [xtau, ytau]},
         diagnostics)
 

@@ -266,7 +266,7 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
         return None
     # must generate: a small ball over the set has to reach every letter
     step = [g for _, g in _named_letters(spec, gens, True)]
-    targets = {encode_flat(g) for g in entry.alphabet.values()}
+    targets = {encode_flat(spec, g) for g in entry.alphabet.values()}
     seen = set()
     for sphere in itertools.islice(_levels(spec, step), 7):   # radius 0..6
         seen.update(sphere)
@@ -433,7 +433,7 @@ def criterion_10(tmpdir: str | None = None) -> CriterionResult:
         other = catalog_load(name)
         spec = other.spec
         letters = [g for _, g in _named_letters(spec, other.default_genset, True)]
-        got = [[decode_flat(x) for x in sphere]
+        got = [[decode_flat(spec, x) for x in sphere]
                for sphere in itertools.islice(_levels(spec, letters), nmax + 1)]
         if got != _reference_spheres(spec, letters, nmax):
             engine_diff.append(name)

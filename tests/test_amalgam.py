@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 from amalgrowth.amalgam import (
     SIDE_A,
     SIDE_B,
+    StepTable,
     Word,
     cyclic_reduce,
+    decode_flat,
+    encode_flat,
     identity_nf,
     invert,
     is_identity,
@@ -15,9 +18,10 @@ from amalgrowth.amalgam import (
     nf_to_json,
     reduce_word,
 )
-from amalgrowth.catalog import catalog_load
+from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 
 ENTRIES = [catalog_load("c2*c3"), catalog_load("pgl2z"), catalog_load("gl2z")]
+ALL_ENTRIES = [catalog_load(name) for name in catalog_names()]
 
 
 def _letters(entry):
@@ -162,3 +166,65 @@ def test_sides_are_distinct():
     assert a.syllables[0][0] != b.syllables[0][0]
     assert {SIDE_A, SIDE_B} == {a.syllables[0][0], b.syllables[0][0]}
     assert identity_nf(spec).syllables == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_ENTRIES).flatmap(
+    lambda e: st.tuples(st.just(e), _letters(e))))
+def test_packed_form_round_trip(data):
+    entry, word = data
+    spec = entry.spec
+    x = _nf(entry, word)
+    v = encode_flat(spec, x)
+    assert decode_flat(spec, v) == x
+    # syllable digits are never 0, so the top digit fixes the length
+    w = spec.digit_bits
+    if x.syllables:
+        assert len(x.syllables) * w < v.bit_length() <= (len(x.syllables) + 1) * w
+    else:
+        assert v == x.head
+
+
+def _stepped(table, v):
+    """The packed products of v with the table's letters, in letter order."""
+    prefix = v >> table.shift
+    return [prefix << s | t for t, s in table[v & table.mask]]
+
+
+def _assert_steps_match_multiply(spec, letters, elements):
+    table = StepTable(spec, letters)
+    for x in elements:
+        assert _stepped(table, encode_flat(spec, x)) == [
+            encode_flat(spec, multiply(spec, x, l)) for l in letters]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_ENTRIES).flatmap(lambda e: st.tuples(
+    st.just(e), st.lists(_letters(e), min_size=1, max_size=4), _letters(e))))
+def test_step_table_matches_multiply(data):
+    entry, letter_words, word = data
+    letters = [_nf(entry, w) for w in letter_words]
+    _assert_steps_match_multiply(entry.spec, letters, [_nf(entry, word)])
+
+
+@pytest.mark.parametrize("name, words", [
+    ("pgl2z", ["a", "b", "c"]),              # a lies in C: 0 syllables
+    ("pgl2z", ["a", "b c", "a b c b"]),
+    ("c2*c3", ["a", "b a"]),                 # the default set {a, ba}
+    ("c2*c3", ["a", "b a", "b^-1 a b^-1", "a b a b a"]),
+    ("gl2z", ["b", "a c a", "c"]),
+])
+def test_step_table_on_small_balls(name, words):
+    # every element of the radius-3 ball over the alphabet, so many are
+    # shorter than the longest letter; lengths 0, 1 and 2+ are mixed
+    entry = catalog_load(name)
+    spec = entry.spec
+    letters = [parse_word(entry, w) for w in words]
+    alphabet = list(entry.alphabet.values())
+    alphabet += [invert(spec, g) for g in alphabet]
+    ball = {identity_nf(spec)}
+    for _ in range(3):
+        ball |= {multiply(spec, x, g) for x in ball for g in alphabet}
+    longest = max(len(l.syllables) for l in letters)
+    assert any(len(x.syllables) < longest for x in ball)
+    _assert_steps_match_multiply(spec, letters, sorted(ball, key=lambda x: x.key()))

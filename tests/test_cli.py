@@ -48,6 +48,33 @@ def test_growth_out_file_and_provenance(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_growth_report_level_counters(tmp_path, capsys):
+    # one entry per level like level_seconds; the identity is level 0's one
+    # candidate, and level n tries sphere[n-1] * 3 products (pgl2z's three
+    # involutions a, b, c)
+    csv = tmp_path / "t.csv"
+    assert cli.main(["growth", "pgl2z", "--nmax", "5", "--format", "json",
+                     "--out", str(csv)]) == 0
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    assert report["sphere"] == [1, 3, 5, 7, 9, 12]
+    assert report["level_candidates"] == [1, 3, 9, 15, 21, 27]
+    assert report["level_new"] == report["sphere"]
+    assert report["level_duplicates"] == [0, 0, 4, 8, 12, 15]
+    assert len(report["level_seconds"]) == 6
+    # the CSV carries none of the counters
+    assert csv.read_text().splitlines()[0] == (
+        "n,sphere,ball,root_estimate,ratio_estimate")
+    # a truncated run reports only the levels it built
+    assert cli.main(["growth", "pgl2z", "--nmax", "30", "--budget", "200",
+                     "--format", "json", "--out", str(csv)]) == 3
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    n = len(report["sphere"])
+    assert n < 31
+    assert [len(report[k]) for k in ("level_candidates", "level_new",
+                                     "level_duplicates", "level_seconds")] == [n] * 4
+    assert capsys.readouterr().out == ""
+
+
 def test_growth_budget_exit_code(tmp_path, capsys):
     csv = tmp_path / "t.csv"
     code = cli.main(["growth", "pgl2z", "--nmax", "30", "--budget", "200",

@@ -30,6 +30,11 @@ from amalgrowth.verify import _random_genset, _reference_spheres
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def test_infinite_dihedral_spheres_are_constant():
     entry = catalog_load("c2*c2")
     table = enumerate_balls(entry.spec, entry.default_genset, 12)
@@ -63,7 +68,7 @@ def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
         gens = _random_genset(entry, rng)
     letters = [g for _, g in _named_letters(entry.spec, gens, inverses)]
     nmax = 8
-    got = [[decode_flat(x) for x in sphere]
+    got = [[decode_flat(entry.spec, x) for x in sphere]
            for sphere in itertools.islice(_levels(entry.spec, letters, budget), nmax + 1)]
     assert got == _reference_spheres(entry.spec, letters, nmax, budget)
 
@@ -81,12 +86,29 @@ def test_sphere_stream_memory_is_bounded_on_linear_growth():
         print(sum(1 for _ in sphere_stream(entry.spec, entry.default_genset,
                                            budget=20000)))
     """)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["9999"]
+
+
+def test_deep_ball_fits_in_200_mb():
+    # c2*c3 {a, ba} to radius 25 keeps about 650,000 elements (three spheres)
+    # in the seen set; one packed int each fits a 200 MB address space, where
+    # tuples of syllable codes needed over 300 MB
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+        from amalgrowth.catalog import catalog_load
+        from amalgrowth.growth import enumerate_balls
+        entry = catalog_load("c2*c3")
+        table = enumerate_balls(entry.spec, entry.default_genset, 25)
+        print(table.nmax, table.truncated, table.sphere[-1])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["25", "False", "392836"]
 
 
 def test_generator_order_does_not_change_the_csv():

@@ -163,13 +163,48 @@ def _without_disjoint(d):
         nf=nf_to_json(parse_word(catalog_load("pgl2z"), "a"))),
     _without_disjoint,
     lambda d: d["sets"][0]["w"].update(key=[[1, 1], [1, 1]]),
-], ids=["no-checks", "element-replaced", "no-disjoint", "vertex-not-alternating"])
+    lambda d: d["elements"][0].update(inverted=True),
+    lambda d: d.update(conclusion=d["conclusion"].replace("x2", "x2^-1")),
+], ids=["no-checks", "element-replaced", "no-disjoint", "vertex-not-alternating",
+        "inverted-flag-flipped", "conclusion-changed"])
 def test_replay_requires_the_obligations_of_the_shape(mutate):
     entry = catalog_load("pgl2z")
     cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))
     d = copy.deepcopy(cert.to_json())
     mutate(d)
     assert not replay(entry.spec, PingPongCertificate.from_json(d))
+
+
+def _orders_7_3(d):
+    # orders and conclusion changed together, consistent with each other
+    d["data"].update(left_order=7, right_order=3)
+    d["conclusion"] = d["conclusion"].replace("orders 2, 2", "orders 7, 3")
+
+
+@pytest.mark.parametrize("mutate, accepted", [
+    (lambda d: None, True),
+    (lambda d: d.update(conclusion="the generated subgroups (orders 3, 3) "
+                                   "generate their free product"), False),
+    (lambda d: d["data"].update(left_order=7), False),
+    (lambda d: d["data"].update(right_order=3), False),
+    (_orders_7_3, False),
+    (lambda d: d["data"].pop("left_order"), False),
+    (lambda d: d.update(data=[]), False),
+    # the power is a hint: the certificate is about the right element it
+    # lists, (b c) b here, whatever `ell` says
+    (lambda d: d["data"].update(ell=0), True),
+], ids=["valid", "conclusion-orders-3-3", "left-order-7", "right-order-3",
+        "orders-and-conclusion-7-3", "no-left-order", "data-not-a-dict",
+        "ell-0"])
+def test_replay_binds_the_conclusion_and_the_subgroup_orders(mutate, accepted):
+    entry = catalog_load("pgl2z")
+    cert = certify_free_split(entry.spec, _elements(entry, "b"),
+                              _elements(entry, "b c"))
+    assert cert.data["ell"] == 1
+    assert "orders 2, 2" in cert.conclusion
+    d = copy.deepcopy(cert.to_json())
+    mutate(d)
+    assert replay(entry.spec, PingPongCertificate.from_json(d)) is accepted
 
 
 def _hyperbolic_pair():

@@ -8,8 +8,8 @@ case of trivial C.  Uniqueness of this form makes equality testing, and
 therefore exact ball enumeration, a tuple comparison.  The ball enumerator
 packs each form into one int (`encode_flat`: one base-2^w digit per
 syllable, the head lowest) and right-multiplies by a whole letter set through
-one `StepTable`, which rewrites only the low digits; `multiply` stays the
-reference arithmetic.
+one `StepTable`, which rewrites only the low digits, so elements that share
+them step together as one class; `multiply` stays the reference arithmetic.
 """
 from __future__ import annotations
 

@@ -101,6 +101,7 @@ def cmd_growth(args) -> int:
     report["level_candidates"] = list(table.candidates)
     report["level_new"] = list(table.sphere)
     report["level_duplicates"] = [c - n for c, n in zip(table.candidates, table.sphere)]
+    report["level_products"] = list(table.products)
     # ru_maxrss is in KiB on Linux
     report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:
@@ -251,7 +252,8 @@ def cmd_verify_paper(args) -> int:
         "version": __version__,
         "seed": args.seed,
         "results": [{"name": r.name, "passed": r.passed,
-                     "details": r.details} for r in results],
+                     "details": r.details, "elapsed_s": r.elapsed_s}
+                    for r in results],
     }
     if args.out:
         _emit(payload, args.out)

@@ -50,8 +50,9 @@ def test_growth_out_file_and_provenance(tmp_path, capsys):
 
 def test_growth_report_level_counters(tmp_path, capsys):
     # one entry per level like level_seconds; the identity is level 0's one
-    # candidate, and level n tries sphere[n-1] * 3 products (pgl2z's three
-    # involutions a, b, c)
+    # candidate, and a plain BFS tries sphere[n-1] * 3 products at level n
+    # (pgl2z's three involutions a, b, c); the engine's shortlex filter
+    # forms only the products that are new here
     csv = tmp_path / "t.csv"
     assert cli.main(["growth", "pgl2z", "--nmax", "5", "--format", "json",
                      "--out", str(csv)]) == 0
@@ -60,6 +61,7 @@ def test_growth_report_level_counters(tmp_path, capsys):
     assert report["level_candidates"] == [1, 3, 9, 15, 21, 27]
     assert report["level_new"] == report["sphere"]
     assert report["level_duplicates"] == [0, 0, 4, 8, 12, 15]
+    assert report["level_products"] == [1, 3, 5, 7, 9, 12]
     assert len(report["level_seconds"]) == 6
     # the CSV carries none of the counters
     assert csv.read_text().splitlines()[0] == (
@@ -71,7 +73,8 @@ def test_growth_report_level_counters(tmp_path, capsys):
     n = len(report["sphere"])
     assert n < 31
     assert [len(report[k]) for k in ("level_candidates", "level_new",
-                                     "level_duplicates", "level_seconds")] == [n] * 4
+                                     "level_duplicates", "level_products",
+                                     "level_seconds")] == [n] * 5
     assert capsys.readouterr().out == ""
 
 
@@ -172,3 +175,19 @@ def test_verify_paper_prints_lines_only_without_out(tmp_path, capsys,
                                                       "criterion-b"]
     assert cli.main(["verify-paper"]) == 1
     assert capsys.readouterr().out.splitlines() == [r.line() for r in stub]
+
+
+def test_verify_paper_result_schema(tmp_path, capsys, monkeypatch):
+    # run_all times each criterion; every result carries exactly these fields
+    from amalgrowth import verify
+    monkeypatch.setattr(verify, "ALL_CRITERIA", (
+        lambda: CriterionResult("criterion-a", True, "first"),
+        lambda: CriterionResult("criterion-b", False, "second")))
+    out = tmp_path / "paper.json"
+    assert cli.main(["verify-paper", "--out", str(out)]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert [r["name"] for r in results] == ["criterion-a", "criterion-b"]
+    for r in results:
+        assert set(r) == {"name", "passed", "details", "elapsed_s"}
+        assert type(r["passed"]) is bool and type(r["details"]) is str
+        assert type(r["elapsed_s"]) is float and r["elapsed_s"] >= 0

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgrowth.amalgam import decode_flat
+from amalgrowth.amalgam import identity_nf, invert, multiply
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
     DEFAULT_BUDGET,
     GenSetError,
     _levels,
     _named_letters,
+    _shortlex_moves,
     enumerate_balls,
     growth_table_csv,
     make_genset,
@@ -25,7 +26,7 @@ from amalgrowth.growth import (
     sphere_stream,
     word_length,
 )
-from amalgrowth.verify import _random_genset, _reference_spheres
+from amalgrowth.verify import _random_genset, _reference_spheres, _same_spheres
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,9 +69,10 @@ def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
         gens = _random_genset(entry, rng)
     letters = [g for _, g in _named_letters(entry.spec, gens, inverses)]
     nmax = 8
-    got = [[decode_flat(entry.spec, x) for x in sphere]
-           for sphere in itertools.islice(_levels(entry.spec, letters, budget), nmax + 1)]
-    assert got == _reference_spheres(entry.spec, letters, nmax, budget)
+    # spheres carry no order: they are compared as sets, each element once
+    got = list(itertools.islice(_levels(entry.spec, letters, budget), nmax + 1))
+    assert _same_spheres(entry.spec, got,
+                         _reference_spheres(entry.spec, letters, nmax, budget))
 
 
 def test_sphere_stream_memory_is_bounded_on_linear_growth():
@@ -173,6 +175,78 @@ def test_shortest_word_pinned(name, text, nmax, inverses, expected):
     res = shortest_word(entry.spec, entry.default_genset,
                         parse_word(entry, text), nmax, include_inverses=inverses)
     assert res == (None if expected is None else (len(expected), expected))
+
+
+def _shortlex_words(spec, letters, nmax):
+    """(word, value) for every word of length <= nmax over the letter
+    indices, by length then letter order, each evaluated with multiply."""
+    level = [((), identity_nf(spec))]
+    for n in range(nmax + 1):
+        yield from level
+        if n < nmax:
+            level = [(w + (k,), multiply(spec, g, l))
+                     for w, g in level for k, l in enumerate(letters)]
+
+
+@pytest.mark.parametrize("inverses", [True, False])
+@pytest.mark.parametrize("name", catalog_names())
+def test_shortest_word_is_the_first_word_in_shortlex_order(name, inverses):
+    # brute-force oracle: the first word over the letters, by length then
+    # letter order, that multiply evaluates to g
+    entry = catalog_load(name)
+    spec = entry.spec
+    named = _named_letters(spec, entry.default_genset, inverses)
+    nmax = 7
+    first = {}
+    for word, g in _shortlex_words(spec, [l for _, l in named], nmax):
+        first.setdefault(g.key(), word)
+    alphabet = list(entry.alphabet.values())
+    alphabet += [invert(spec, x) for x in alphabet]
+    rng = random.Random(name)
+    for _ in range(15):
+        g = identity_nf(spec)
+        for _ in range(rng.randint(0, 8)):
+            g = multiply(spec, g, rng.choice(alphabet))
+        want = first.get(g.key())
+        assert shortest_word(spec, entry.default_genset, g, nmax,
+                             include_inverses=inverses) == (
+            None if want is None else (len(want), [named[k][0] for k in want]))
+
+
+def _assert_accepts_shortlex_least_words(spec, letters, nmax=5):
+    # a word is accepted when each letter is allowed after the state the
+    # word before it reached
+    moves = [dict(row) for row in _shortlex_moves(spec, letters)]
+    seen = set()
+    for word, g in _shortlex_words(spec, letters, nmax):
+        if g.key() in seen:
+            continue
+        seen.add(g.key())
+        state = 0
+        for k in word:
+            assert k in moves[state], (word, k)
+            state = moves[state][k]
+
+
+@pytest.mark.parametrize("inverses", [True, False])
+@pytest.mark.parametrize("name", catalog_names())
+def test_state_table_accepts_shortlex_least_words_of_default_sets(name, inverses):
+    entry = catalog_load(name)
+    _assert_accepts_shortlex_least_words(entry.spec, [
+        g for _, g in _named_letters(entry.spec, entry.default_genset, inverses)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(catalog_names()), seed=st.integers(0, 2 ** 32 - 1),
+       inverses=st.booleans())
+def test_state_table_accepts_shortlex_least_words_of_random_sets(name, seed, inverses):
+    entry = catalog_load(name)
+    rng = random.Random(seed)
+    gens = None
+    while gens is None:
+        gens = _random_genset(entry, rng)
+    _assert_accepts_shortlex_least_words(entry.spec, [
+        g for _, g in _named_letters(entry.spec, gens, inverses)])
 
 
 def test_word_length_identity_and_out_of_range():

@@ -102,6 +102,7 @@ def cmd_growth(args) -> int:
     report["level_new"] = list(table.sphere)
     report["level_duplicates"] = [c - n for c, n in zip(table.candidates, table.sphere)]
     report["level_products"] = list(table.products)
+    report["level_packed"] = list(table.packed)
     # ru_maxrss is in KiB on Linux
     report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:
@@ -118,7 +119,8 @@ def cmd_growth(args) -> int:
         }
         if enc is not None:
             report["dominant_root"] = {"lo": str(enc.lo), "hi": str(enc.hi),
-                                       "mid": enc.mid}
+                                       "mid": enc.mid,
+                                       "bisection_steps": enc.bisection_steps}
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
@@ -275,7 +277,8 @@ def cmd_root(args) -> int:
     payload.update(desc)
     payload["root"] = {"lo": str(enc.lo), "hi": str(enc.hi), "mid": enc.mid,
                        "width": str(enc.width),
-                       "unique_positive": enc.unique_positive}
+                       "unique_positive": enc.unique_positive,
+                       "bisection_steps": enc.bisection_steps}
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -14,22 +14,29 @@ last K syllables and the head, the tail x & mask, so one
 `amalgam.StepTable`, filled on first use, maps a tail to its product with
 every letter.
 
-A sphere is held as classes (state, tail) -> set of prefixes x >> shift.
-The state is the last <= 2 letters of a shortlex-least word for x, from a
-table built once per letter set (`_shortlex_moves`).  A BFS discovers
-elements in shortlex order, so a new element's shortlex-least word is that
-of an element of the previous sphere plus one letter; since every factor of
-a shortlex-least word is shortlex-least, stepping a class only by the
-letters its state allows drops no new element.  When the products keep the
-whole tail, a class steps by a letter in one C-level `map`/`set.update`
-batch into one target class; shorter products are placed one by one.
-Dedupe is exact set difference per tail: against the previous two spheres
-when the letters are closed under inversion (every neighbour of sphere n
-lies in sphere n-1, n or n+1), against every earlier sphere for one-sided
-letters (subgroup closures, `include_inverses=False`).  An element reached
-under several states stays under each, since one of them is its true state,
-and is counted once.  The element budget counts elements the same way in
-both cases.
+A sphere is held as classes (state, tail, pend, np) -> set of bases: the
+prefix x >> shift has L nonzero digits, np = L mod BLOCK, pend is its np
+lowest digits and base = prefix >> np * w the rest, whole blocks, so each
+x has exactly one such split.  The state is the last <= 2 letters of a
+shortlex-least word for x, from a table built once per letter set
+(`_shortlex_moves`).  A BFS discovers elements in shortlex order, so a new
+element's shortlex-least word is that of an element of the previous sphere
+plus one letter; since every factor of a shortlex-least word is
+shortlex-least, stepping a class only by the letters its state allows drops
+no new element.  A product at least as long as the tail re-keys the class,
+its set shared, the digits leaving the tail joining pend; whole blocks of
+pend move into the bases in one C-level `map` batch, built once per source
+set and digits.  A shorter product takes its digits back from pend, or
+element by element when pend holds too few.  So a prefix int is rebuilt
+about once every BLOCK syllables.  Sets are never mutated once built, so
+classes, spheres and levels share them.  Dedupe is exact set difference per
+(tail, pend, np), the split being canonical: against the previous two
+spheres when the letters are closed under inversion (every neighbour of
+sphere n lies in sphere n-1, n or n+1), against every earlier sphere for
+one-sided letters (subgroup closures, `include_inverses=False`).  An element
+reached under several states stays under each, since one of them is its
+true state, and is counted once.  The element budget counts elements the
+same way in both cases.
 """
 from __future__ import annotations
 
@@ -37,7 +44,7 @@ import io
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, product, repeat
 from operator import lshift, or_
 
 from .amalgam import (
@@ -52,6 +59,8 @@ from .amalgam import (
 )
 
 DEFAULT_BUDGET = 10_000_000
+# prefix digits packed into an element's base at a time (module docstring)
+BLOCK = 4
 
 
 class GenSetError(ValueError):
@@ -94,6 +103,8 @@ class GrowthTable:
     candidates: tuple[int, ...]
     # products the engine formed per level, after the shortlex filter
     products: tuple[int, ...]
+    # prefix ints the engine built per level; the identity is level 0's one
+    packed: tuple[int, ...]
 
 
 def _named_letters(spec: AmalgamSpec, gens: GenSet,
@@ -112,34 +123,37 @@ def _named_letters(spec: AmalgamSpec, gens: GenSet,
     return named
 
 
-def _shortlex_moves(spec: AmalgamSpec,
-                    letters: list[NormalForm]) -> list[tuple[tuple[int, int], ...]]:
-    """The shortlex suffix-state table of `letters`, indexed by letter
+def _shortlex_moves(table: StepTable) -> list[tuple[tuple[int, int], ...]]:
+    """The shortlex suffix-state table of `table.letters`, indexed by letter
     position: moves[state] lists (k, next state) for each letter k allowed
     after the state, state 0 being the empty word's.
 
-    Every word of length <= 3 is evaluated with `multiply` in shortlex
-    order; the first to reach an element is its shortlex-least word.  A
-    state is the last <= 2 letters of a shortlex-least word, and letter k is
-    allowed after state s when s + (k,), at most 3 letters, is
-    shortlex-least.  A factor of a shortlex-least word is shortlex-least, so
-    every shortlex-least word passes this filter.
+    Every word of length <= 3 is evaluated on packed forms through the step
+    table in shortlex order; the first to reach an element is its
+    shortlex-least word.  A state is the last <= 2 letters of a
+    shortlex-least word, and letter k is allowed after state s when s +
+    (k,), at most 3 letters, is shortlex-least.  A factor of a
+    shortlex-least word is shortlex-least, so every shortlex-least word
+    passes this filter.
     """
-    value = {(): identity_nf(spec)}
-    first = {value[()].key()}
+    one = encode_flat(table.spec, identity_nf(table.spec))
+    value = {(): one}
+    first = {one}
     least = {()}
     for n in range(1, 4):
-        for word in product(range(len(letters)), repeat=n):
-            g = value[word] = multiply(spec, value[word[:-1]], letters[word[-1]])
-            if g.key() not in first:
-                first.add(g.key())
+        for word in product(range(len(table.letters)), repeat=n):
+            x = value[word[:-1]]
+            t, s = table[x & table.mask][word[-1]]
+            y = value[word] = x >> table.shift << s | t
+            if y not in first:
+                first.add(y)
                 least.add(word)
     states = [()]
     index = {(): 0}
     moves = []
     for state in states:            # grows while it is walked
         row = []
-        for k in range(len(letters)):
+        for k in range(len(table.letters)):
             word = state + (k,)
             if word in least:
                 if word[-2:] not in index:
@@ -152,31 +166,39 @@ def _shortlex_moves(spec: AmalgamSpec,
 
 class Sphere:
     """One sphere of `_levels`, unordered: its packed elements
-    (`amalgam.encode_flat`) as tail -> disjoint sets of prefixes, with
-    x == prefix << shift | tail.  `len`, `in` on packed ints and iteration;
-    `products` counts the products the engine formed to build it."""
+    (`amalgam.encode_flat`) as (tail, pend, np) -> disjoint sets of bases,
+    x == (base << np * w | pend) << shift | tail.  `len`, `in` on packed
+    ints and iteration; `products` and `packed` count the products formed
+    and the prefix ints built to make it."""
 
-    __slots__ = ("by_tail", "shift", "mask", "size", "products")
+    __slots__ = ("by_key", "shift", "w", "mask", "size", "products", "packed")
 
-    def __init__(self, by_tail: dict[int, list[set[int]]], shift: int, products: int):
-        self.by_tail = by_tail
+    def __init__(self, by_key: dict[tuple[int, int, int], list[set[int]]],
+                 shift: int, w: int, products: int, packed: int):
+        self.by_key = by_key
         self.shift = shift
+        self.w = w
         self.mask = (1 << shift) - 1
-        self.size = sum(len(p) for sets in by_tail.values() for p in sets)
+        self.size = sum(map(len, chain.from_iterable(by_key.values())))
         self.products = products
+        self.packed = packed
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, x: int) -> bool:
         p = x >> self.shift
-        return any(p in prefixes for prefixes in self.by_tail.get(x & self.mask, ()))
+        np = -(-p.bit_length() // self.w) % BLOCK
+        low = np * self.w
+        key = (x & self.mask, p & ((1 << low) - 1), np)
+        return any(p >> low in bases for bases in self.by_key.get(key, ()))
 
     def __iter__(self):
-        shift = repeat(self.shift)
-        for tail, sets in self.by_tail.items():
-            for prefixes in sets:
-                yield from map(or_, map(lshift, prefixes, shift), repeat(tail))
+        shift, w = self.shift, self.w
+        return chain.from_iterable(
+            map(or_, map(lshift, bases, repeat(shift + np * w)),
+                repeat(pend << shift | tail))
+            for (tail, pend, np), sets in self.by_key.items() for bases in sets)
 
 
 def _disjoint(sets: list[set[int]]) -> list[set[int]]:
@@ -192,66 +214,102 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
     starting with the radius-0 sphere {identity}: sphere n holds the right
     products not seen at any smaller radius.
 
-    An element is kept in classes (shortlex state, tail); a class steps only
-    by the letters `_shortlex_moves` allows after its state, and when the
-    product keeps the whole tail, all its prefixes go to one target class
-    in one batch.  An empty sphere is yielded once and ends the iteration.
-    With a budget, iteration stops silently before a level whose worst case
-    (elements so far) + len(sphere) * len(letters) would exceed it.
+    An element is kept in classes (shortlex state, tail, pend, np) -> set
+    of bases; a class steps only by the letters `_shortlex_moves` allows
+    after its state, and its set goes to the target class as it is, or
+    through one batch when whole blocks move into the bases.  An empty
+    sphere is yielded once and ends the iteration.  With a budget,
+    iteration stops silently before a level whose worst case (elements so
+    far) + len(sphere) * len(letters) would exceed it.
     """
     table = StepTable(spec, letters)
-    moves = _shortlex_moves(spec, letters)
-    shift, mask = table.shift, table.mask
+    moves = _shortlex_moves(table)
+    shift, mask, w = table.shift, table.mask, spec.digit_bits
     symmetric = {l.key() for l in letters} == {invert(spec, l).key() for l in letters}
     one = encode_flat(spec, identity_nf(spec))
-    classes = {(0, one & mask): {one >> shift}}
-    sphere = Sphere({one & mask: [{one >> shift}]}, shift, 1)
-    older: dict[int, list[set[int]]] = {}
+    classes = {(0, one & mask, 0, 0): {0}}
+    sphere = Sphere({(one & mask, 0, 0): [{0}]}, shift, w, 1, 1)
+    older: dict[tuple[int, int, int], list[set[int]]] = {}
     total = 1
+    # products placed element by element; emptied into nxt every level
+    loose: dict[tuple[int, int, int, int], set[int]] = defaultdict(set)
     while True:
         yield sphere
         if not sphere or (budget is not None
                           and total + len(sphere) * len(letters) > budget):
             return
-        nxt: dict[tuple[int, int], set[int]] = defaultdict(set)
-        products = 0
-        for (state, tail), prefixes in classes.items():
+        nxt: dict[tuple[int, int, int, int], list[set[int]]] = defaultdict(list)
+        flushed: dict[tuple[int, int, int], set[int]] = {}
+        products = packed = 0
+        for (state, tail, pend, np), bases in classes.items():
             row = table[tail]
-            products += len(prefixes) * len(moves[state])
+            products += len(bases) * len(moves[state])
             for k, after in moves[state]:
                 t, s = row[k]
-                if s == shift:
-                    nxt[after, t].update(prefixes)
-                elif s > shift:
-                    nxt[after, t & mask].update(map(
-                        or_, map(lshift, prefixes, repeat(s - shift)),
-                        repeat(t >> shift)))
-                else:
+                if s >= shift:
+                    # the digits leaving the tail join the pending block;
+                    # whole blocks move into the bases in one batch
+                    pend2 = pend << s - shift | t >> shift
+                    np2 = np + (s - shift) // w
+                    if np2 >= BLOCK:
+                        keep = np2 % BLOCK
+                        bits, hi = (np2 - keep) * w, pend2 >> keep * w
+                        memo = (id(bases), bits, hi)
+                        if memo not in flushed:
+                            flushed[memo] = set(map(
+                                or_, map(lshift, bases, repeat(bits)), repeat(hi)))
+                            packed += len(bases)
+                        nxt[after, t & mask, pend2 & ((1 << keep * w) - 1),
+                            keep].append(flushed[memo])
+                    else:
+                        nxt[after, t & mask, pend2, np2].append(bases)
+                elif np * w >= shift - s:
                     # the product is shorter than the tail: its new tail
-                    # takes digits from the prefix
-                    for p in prefixes:
-                        y = p << s | t
-                        nxt[after, y & mask].add(y >> shift)
-        # exact dedupe per tail; an element reached under several states
-        # stays under each (one is its true state) and is counted once
+                    # takes digits from the pending block
+                    r = shift - s
+                    nxt[after, (pend & ((1 << r) - 1)) << s | t, pend >> r,
+                        np - r // w].append(bases)
+                else:
+                    # ... and from the bases: element by element
+                    packed += len(bases)
+                    for b in bases:
+                        y = (b << np * w | pend) << s | t
+                        p = y >> shift
+                        np2 = -(-p.bit_length() // w) % BLOCK
+                        loose[after, y & mask, p & ((1 << np2 * w) - 1),
+                              np2].add(p >> np2 * w)
+        if loose:
+            for key, bases in loose.items():
+                nxt[key].append(bases)
+            loose.clear()
+        # exact dedupe per (tail, pend, np); an element reached under several
+        # states stays under each (one is its true state) and is counted once
         if symmetric:
-            drop = (sphere.by_tail, older)
-            older = sphere.by_tail
+            drop = (sphere.by_key, older)
+            older = sphere.by_key
         else:
-            for tail, sets in sphere.by_tail.items():
-                older.setdefault(tail, [set()])[0].update(*sets)
+            for key, sets in sphere.by_key.items():
+                older.setdefault(key, [set()])[0].update(*sets)
             drop = (older,)
         classes = {}
-        by_tail: dict[int, list[set[int]]] = defaultdict(list)
-        for key, prefixes in nxt.items():
+        by_key: dict[tuple[int, int, int], list[set[int]]] = defaultdict(list)
+        for key, sets in nxt.items():
+            bases = sets[0] if len(sets) == 1 else set().union(*sets)
+            sub = key[1:]
             for seen in drop:
-                for old in seen.get(key[1], ()):
-                    prefixes -= old
-            if prefixes:
-                classes[key] = prefixes
-                by_tail[key[1]].append(prefixes)
-        sphere = Sphere({tail: sets if len(sets) == 1 else _disjoint(sets)
-                         for tail, sets in by_tail.items()}, shift, products)
+                for old in seen.get(sub, ()):
+                    if bases is old:
+                        bases = set()
+                    elif not bases.isdisjoint(old):
+                        bases = bases - old
+            if bases:
+                classes[key] = bases
+                by_key[sub].append(bases)
+        if len(by_key) < len(classes):
+            for sub, sets in by_key.items():
+                if len(sets) > 1:
+                    by_key[sub] = _disjoint(sets)
+        sphere = Sphere(by_key, shift, w, products, packed)
         total += len(sphere)
 
 
@@ -284,6 +342,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     timings = [0.0]
     candidates = [1]
     products = [1]
+    packed = [1]
     truncated = False
     for _ in range(nmax):
         t0 = time.perf_counter()
@@ -293,6 +352,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
             break
         candidates.append(sphere[-1] * len(letters))
         products.append(nxt.products)
+        packed.append(nxt.packed)
         sphere.append(len(nxt))
         timings.append(time.perf_counter() - t0)
         if not nxt:
@@ -312,6 +372,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         generators=gens.names,
         candidates=tuple(candidates),
         products=tuple(products),
+        packed=tuple(packed),
     )
 
 

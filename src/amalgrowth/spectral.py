@@ -9,7 +9,7 @@ endpoint evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
@@ -120,6 +120,8 @@ class RootEnclosure:
     hi: Fraction
     degenerate: bool = False
     unique_positive: bool = True
+    # interval halvings the isolation took: a diagnostic, not in equality
+    bisection_steps: int = field(default=0, compare=False)
 
     @property
     def mid(self) -> float:
@@ -137,25 +139,29 @@ class RootIsolationError(ValueError):
     pass
 
 
-def _bisect(p, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _bisect(p, lo: Fraction, hi: Fraction,
+            width: Fraction) -> tuple[Fraction, Fraction, int]:
+    """(lo, hi, halvings taken): a sign-changing bracket of width <= width."""
     flo = poly_eval(p, lo)
     fhi = poly_eval(p, hi)
     if flo == 0:
-        return lo, lo
+        return lo, lo, 0
     if fhi == 0:
-        return hi, hi
+        return hi, hi, 0
     if (flo > 0) == (fhi > 0):
         raise RootIsolationError("bracket endpoints have equal signs")
+    steps = 0
     while hi - lo > width:
+        steps += 1
         mid = (lo + hi) / 2
         fm = poly_eval(p, mid)
         if fm == 0:
-            return mid, mid
+            return mid, mid, steps
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
         else:
             hi = mid
-    return lo, hi
+    return lo, hi, steps
 
 
 def unique_positive_root(p, *, bracket=None,
@@ -171,8 +177,8 @@ def unique_positive_root(p, *, bracket=None,
         raise RootIsolationError("constant polynomial has no positive root")
     if bracket is not None:
         lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
-        lo2, hi2 = _bisect(p, lo, hi, width)
-        return RootEnclosure(lo2, hi2, unique_positive=False)
+        lo2, hi2, steps = _bisect(p, lo, hi, width)
+        return RootEnclosure(lo2, hi2, unique_positive=False, bisection_steps=steps)
     changes = descartes_sign_changes(p)
     if changes != 1:
         raise RootIsolationError(
@@ -185,8 +191,8 @@ def unique_positive_root(p, *, bracket=None,
     hi = max(Fraction(1), root_upper_bound(p))
     while (poly_eval(p, hi) > 0) == (flo > 0):
         hi *= 2
-    lo2, hi2 = _bisect(p, lo, hi, width)
-    return RootEnclosure(lo2, hi2)
+    lo2, hi2, steps = _bisect(p, lo, hi, width)
+    return RootEnclosure(lo2, hi2, bisection_steps=steps)
 
 
 def positive_root_from_lengths(lengths, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
@@ -232,15 +238,18 @@ def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosur
         return None
     # keep the rightmost root, then shrink to an isolating, sign-changing
     # interval around it
+    steps = 0
     while count_roots_in(chain, lo, hi) > 1 or hi - lo > width:
+        steps += 1
         mid = (lo + hi) / 2
         if poly_eval(sf, mid) == 0 and count_roots_in(chain, mid, hi) == 0:
-            return RootEnclosure(mid, mid, unique_positive=(total == 1))
+            return RootEnclosure(mid, mid, unique_positive=(total == 1),
+                                 bisection_steps=steps)
         if count_roots_in(chain, mid, hi) >= 1:
             lo = mid
         else:
             hi = mid
-    return RootEnclosure(lo, hi, unique_positive=(total == 1))
+    return RootEnclosure(lo, hi, unique_positive=(total == 1), bisection_steps=steps)
 
 
 # ---------------------------------------------------------------------------

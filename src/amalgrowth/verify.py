@@ -410,12 +410,15 @@ def _reference_spheres(spec: AmalgamSpec, letters: list[NormalForm], nmax: int,
 
 def _same_spheres(spec: AmalgamSpec, got: list, ref: list[list[NormalForm]]) -> bool:
     """Engine spheres equal the reference spheres as sets (spheres carry no
-    order), with each element yielded once and `len` agreeing."""
+    order), with each element yielded once, `len` agreeing and `in` finding
+    each reference element."""
     if len(got) != len(ref):
         return False
     for sphere, want in zip(got, ref):
         elements = [decode_flat(spec, x) for x in sphere]
         if not len(sphere) == len(elements) == len(want) or set(elements) != set(want):
+            return False
+        if not all(encode_flat(spec, g) in sphere for g in want):
             return False
     return True
 

@@ -52,7 +52,9 @@ def test_growth_report_level_counters(tmp_path, capsys):
     # one entry per level like level_seconds; the identity is level 0's one
     # candidate, and a plain BFS tries sphere[n-1] * 3 products at level n
     # (pgl2z's three involutions a, b, c); the engine's shortlex filter
-    # forms only the products that are new here
+    # forms only the products that are new here; it builds a prefix int
+    # only where whole blocks of pending syllables are packed into a base,
+    # or where a product shorter than the tail is placed element by element
     csv = tmp_path / "t.csv"
     assert cli.main(["growth", "pgl2z", "--nmax", "5", "--format", "json",
                      "--out", str(csv)]) == 0
@@ -62,6 +64,7 @@ def test_growth_report_level_counters(tmp_path, capsys):
     assert report["level_new"] == report["sphere"]
     assert report["level_duplicates"] == [0, 0, 4, 8, 12, 15]
     assert report["level_products"] == [1, 3, 5, 7, 9, 12]
+    assert report["level_packed"] == [1, 1, 0, 0, 0, 2]
     assert len(report["level_seconds"]) == 6
     # the CSV carries none of the counters
     assert csv.read_text().splitlines()[0] == (
@@ -74,7 +77,23 @@ def test_growth_report_level_counters(tmp_path, capsys):
     assert n < 31
     assert [len(report[k]) for k in ("level_candidates", "level_new",
                                      "level_duplicates", "level_products",
-                                     "level_seconds")] == [n] * 5
+                                     "level_packed", "level_seconds")] == [n] * 6
+    # on a deeper ball most elements step without a new prefix int
+    assert cli.main(["growth", "c2*c4", "--nmax", "16", "--format", "json",
+                     "--out", str(csv)]) == 0
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    assert sum(report["level_packed"]) < sum(report["level_new"])
+    assert capsys.readouterr().out == ""
+
+
+def test_growth_report_bisection_steps(tmp_path, capsys):
+    # pgl2z's spheres fit s(n) = s(n-2) + s(n-3), whose root is isolated
+    # by 41 halvings of [0, 2] down to width 10^-12
+    csv = tmp_path / "t.csv"
+    assert cli.main(["growth", "pgl2z", "--nmax", "14", "--format", "json",
+                     "--out", str(csv)]) == 0
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    assert report["dominant_root"]["bisection_steps"] == 41
     assert capsys.readouterr().out == ""
 
 
@@ -150,9 +169,11 @@ def test_root_lengths_and_poly(capsys):
     assert cli.main(["root", "--lengths", "1", "2"]) == 0
     report = _json_out(capsys)
     assert abs(report["root"]["mid"] - 1.618033988749895) < 1e-9
+    assert report["root"]["bisection_steps"] == 41
     assert cli.main(["root", "--poly", "-1", "-1", "0", "1"]) == 0
     report = _json_out(capsys)
     assert abs(report["root"]["mid"] - 1.3247179572447460) < 1e-9
+    assert report["root"]["bisection_steps"] == 41
     assert cli.main(["root"]) == 1
 
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgrowth.amalgam import identity_nf, invert, multiply
+from amalgrowth.amalgam import StepTable, identity_nf, invert, multiply
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
+    BLOCK,
     DEFAULT_BUDGET,
     GenSetError,
     _levels,
@@ -75,6 +76,30 @@ def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
                          _reference_spheres(entry.spec, letters, nmax, budget))
 
 
+@pytest.mark.parametrize("name, words, inverses, budget, nmax, two_blocks", [
+    # letters of more than BLOCK syllables: appended to an element with
+    # enough pending syllables, one moves two whole blocks into the base in
+    # one step
+    ("c2*c3", ["a", "b a b a b a b"], True, None, 6, True),
+    ("c2*c5", ["a b a b a b b", "b"], False, 3000, 12, True),
+    # c2*c3's default {a, ba}: a product shorter than the tail takes its
+    # digits back from the pending block, or element by element when the
+    # block holds too few
+    ("c2*c3", ["a", "b a"], True, None, 14, False),
+    # one-sided letters: dedupe against every earlier sphere, under a budget
+    ("c2*c3", ["a", "b a"], False, 3000, 30, False),
+])
+def test_levels_match_the_reference_bfs_on_long_and_shrinking_letters(
+        name, words, inverses, budget, nmax, two_blocks):
+    entry = catalog_load(name)
+    spec = entry.spec
+    gens = make_genset(spec, [(f"g{i}", parse_word(entry, w)) for i, w in enumerate(words)])
+    letters = [g for _, g in _named_letters(spec, gens, inverses)]
+    assert not two_blocks or max(len(l) for l in letters) > BLOCK
+    got = list(itertools.islice(_levels(spec, letters, budget), nmax + 1))
+    assert _same_spheres(spec, got, _reference_spheres(spec, letters, nmax, budget))
+
+
 def test_sphere_stream_memory_is_bounded_on_linear_growth():
     # c2*c2 has 2 elements per sphere, so a 20,000-element budget reaches
     # radius ~10,000 and the whole ball holds ~10^8 syllables (about 1 GB);
@@ -94,13 +119,15 @@ def test_sphere_stream_memory_is_bounded_on_linear_growth():
     assert proc.stdout.split() == ["9999"]
 
 
-def test_deep_ball_fits_in_200_mb():
-    # c2*c3 {a, ba} to radius 25 keeps about 650,000 elements (three spheres)
-    # in the seen set; one packed int each fits a 200 MB address space, where
-    # tuples of syllable codes needed over 300 MB
+def test_deep_ball_fits_in_100_mb():
+    # c2*c3 {a, ba} to radius 25 keeps about 650,000 elements (three
+    # spheres) for dedupe, as sets of bases that classes and spheres share,
+    # most elements with no int of their own; the run needs about 75 MB of
+    # address space, one packed int per element needed 100-120 MB and
+    # tuples of syllable codes over 300 MB
     code = textwrap.dedent("""
         import resource
-        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+        resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
         from amalgrowth.catalog import catalog_load
         from amalgrowth.growth import enumerate_balls
         entry = catalog_load("c2*c3")
@@ -216,7 +243,7 @@ def test_shortest_word_is_the_first_word_in_shortlex_order(name, inverses):
 def _assert_accepts_shortlex_least_words(spec, letters, nmax=5):
     # a word is accepted when each letter is allowed after the state the
     # word before it reached
-    moves = [dict(row) for row in _shortlex_moves(spec, letters)]
+    moves = [dict(row) for row in _shortlex_moves(StepTable(spec, letters))]
     seen = set()
     for word, g in _shortlex_words(spec, letters, nmax):
         if g.key() in seen:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,20 @@ def test_largest_positive_root_picks_largest():
     enc = largest_positive_root([3, -4, 1])
     assert abs(enc.mid - 3.0) < 1e-9
     assert largest_positive_root([1, 0, 1]) is None  # z^2 + 1
+
+
+def test_root_enclosures_record_bisection_steps():
+    # Descartes path: [0, 2] halved 41 times to width <= 10^-12
+    enc = largest_positive_root([-1, -1, 0, 1])           # z^3 - z - 1
+    assert enc.bisection_steps == 41
+    # Sturm path: [0, 5] halved until it isolates 3 and is that narrow
+    enc = largest_positive_root([3, -4, 1])
+    assert enc.bisection_steps == 43
+    assert dominant_root(Recurrence(order=2, coefficients=(Fraction(1), Fraction(1)),
+                                    initial=(1, 1), guard=0)).bisection_steps == 41
+    assert positive_root_from_lengths([3]).bisection_steps == 0
+    # the count is a diagnostic: it does not enter equality
+    assert replace(enc, bisection_steps=0) == enc
 
 
 def test_descartes():

@@ -103,6 +103,7 @@ def cmd_growth(args) -> int:
     report["level_duplicates"] = [c - n for c, n in zip(table.candidates, table.sphere)]
     report["level_products"] = list(table.products)
     report["level_packed"] = list(table.packed)
+    report["level_compared"] = list(table.compared)
     # ru_maxrss is in KiB on Linux
     report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:

@@ -14,29 +14,34 @@ last K syllables and the head, the tail x & mask, so one
 `amalgam.StepTable`, filled on first use, maps a tail to its product with
 every letter.
 
-A sphere is held as classes (state, tail, pend, np) -> set of bases: the
-prefix x >> shift has L nonzero digits, np = L mod BLOCK, pend is its np
-lowest digits and base = prefix >> np * w the rest, whole blocks, so each
-x has exactly one such split.  The state is the last <= 2 letters of a
-shortlex-least word for x, from a table built once per letter set
-(`_shortlex_moves`).  A BFS discovers elements in shortlex order, so a new
-element's shortlex-least word is that of an element of the previous sphere
-plus one letter; since every factor of a shortlex-least word is
+A sphere is held as classes (state, tail, pend, np, pb) -> set of bases:
+the prefix x >> shift has L nonzero digits, np = L mod BLOCK, pend is its
+np lowest digits and base = prefix >> np * w the rest, whole blocks, so
+each x has exactly one such split; pb = psi(base) is the sum of a weight
+lambda(d) over the base's digits (`_weights`).  The state is the last <= 2
+letters of a shortlex-least word for x, from a table built once per letter
+set (`_shortlex_moves`).  A BFS discovers elements in shortlex order, so a
+new element's shortlex-least word is that of an element of the previous
+sphere plus one letter; since every factor of a shortlex-least word is
 shortlex-least, stepping a class only by the letters its state allows drops
 no new element.  A product at least as long as the tail re-keys the class,
 its set shared, the digits leaving the tail joining pend; whole blocks of
 pend move into the bases in one C-level `map` batch, built once per source
-set and digits.  A shorter product takes its digits back from pend, or
-element by element when pend holds too few.  So a prefix int is rebuilt
-about once every BLOCK syllables.  Sets are never mutated once built, so
-classes, spheres and levels share them.  Dedupe is exact set difference per
-(tail, pend, np), the split being canonical: against the previous two
-spheres when the letters are closed under inversion (every neighbour of
+set and digits, pb gaining psi of the moved digits.  A shorter product takes
+its digits back from pend, or element by element when pend holds too few.
+So a prefix int is rebuilt about once every BLOCK syllables.  Sets are never
+mutated once built, so classes, spheres and levels share them.  Dedupe is
+exact set difference per (tail, pend, np, pb), the split being canonical
+and pb a function of the base, whatever the weights: against the previous
+two spheres when the letters are closed under inversion (every neighbour of
 sphere n lies in sphere n-1, n or n+1), against every earlier sphere for
-one-sided letters (subgroup closures, `include_inverses=False`).  An element
-reached under several states stays under each, since one of them is its
-true state, and is counted once.  The element budget counts elements the
-same way in both cases.
+one-sided letters (subgroup closures, `include_inverses=False`).  Where
+psi(x) is the word length of x (one-syllable letters of a free product),
+psi(base) + psi(pend) + psi(tail) = n on sphere n, so no key of a new
+sphere is a key of an older one and no lookup runs.  An element reached
+under several states stays under each, since one of them is its true
+state, and is counted once.  The element budget counts elements the same
+way in both cases.
 """
 from __future__ import annotations
 
@@ -48,6 +53,8 @@ from itertools import chain, combinations, product, repeat
 from operator import lshift, or_
 
 from .amalgam import (
+    SIDE_A,
+    SIDE_B,
     AmalgamSpec,
     NormalForm,
     StepTable,
@@ -105,6 +112,8 @@ class GrowthTable:
     products: tuple[int, ...]
     # prefix ints the engine built per level; the identity is level 0's one
     packed: tuple[int, ...]
+    # bases dedupe tested against older spheres per level
+    compared: tuple[int, ...]
 
 
 def _named_letters(spec: AmalgamSpec, gens: GenSet,
@@ -164,24 +173,83 @@ def _shortlex_moves(table: StepTable) -> list[tuple[tuple[int, int], ...]]:
     return moves
 
 
+def _weights(spec: AmalgamSpec, letters: list[NormalForm]) -> list[int] | None:
+    """The digit weights lambda of `_levels`' dedupe key, indexed by packed
+    digit, or None for all zero.
+
+    When C is trivial and every letter is a single syllable, the weight of a
+    syllable digit is the syllable's word length in its factor over the
+    letters lying in that factor.  Word length is then additive over the
+    syllables of a normal form, so the weight sum of x's digits is its word
+    length.  Otherwise the weights are zero.
+    """
+    if spec.C.order != 1 or any(len(l.syllables) != 1 for l in letters):
+        return None
+    lam = [0] * (1 << spec.digit_bits)
+    for side, fac in ((SIDE_A, spec.A), (SIDE_B, spec.B)):
+        gens = [l.syllables[0][1] for l in letters if l.syllables[0][0] == side]
+        seen = {fac.identity}
+        frontier = [fac.identity]
+        n = 0
+        while frontier:
+            n += 1
+            nxt = []
+            for g in frontier:
+                for gh in map(fac.mul[g].__getitem__, gens):
+                    if gh not in seen:
+                        seen.add(gh)
+                        nxt.append(gh)
+                        lam[1 + side + 2 * gh] = n
+            frontier = nxt
+    return lam
+
+
+class _Psi(dict):
+    """psi[x]: the sum of the weights `lam` over the base-2^w digits of x,
+    memoised; the engine asks it only of short digit strings."""
+
+    __slots__ = ("lam", "w")
+
+    def __init__(self, lam: list[int], w: int):
+        self.lam = lam
+        self.w = w
+
+    def of(self, x: int) -> int:
+        lam, w, m = self.lam, self.w, (1 << self.w) - 1
+        acc = 0
+        while x:
+            acc += lam[x & m]
+            x >>= w
+        return acc
+
+    def __missing__(self, x: int) -> int:
+        v = self[x] = self.of(x)
+        return v
+
+
 class Sphere:
     """One sphere of `_levels`, unordered: its packed elements
-    (`amalgam.encode_flat`) as (tail, pend, np) -> disjoint sets of bases,
-    x == (base << np * w | pend) << shift | tail.  `len`, `in` on packed
-    ints and iteration; `products` and `packed` count the products formed
-    and the prefix ints built to make it."""
+    (`amalgam.encode_flat`) as (tail, pend, np, pb) -> disjoint sets of
+    bases, x == (base << np * w | pend) << shift | tail and pb ==
+    psi.of(base).  `len`, `in` on packed ints and iteration; `products` and
+    `packed` count the products formed and the prefix ints built to make
+    it, `compared` the bases dedupe tested against older spheres."""
 
-    __slots__ = ("by_key", "shift", "w", "mask", "size", "products", "packed")
+    __slots__ = ("by_key", "shift", "w", "mask", "psi", "size", "products",
+                 "packed", "compared")
 
-    def __init__(self, by_key: dict[tuple[int, int, int], list[set[int]]],
-                 shift: int, w: int, products: int, packed: int):
+    def __init__(self, by_key: dict[tuple[int, int, int, int], list[set[int]]],
+                 shift: int, w: int, psi: _Psi, products: int, packed: int,
+                 compared: int):
         self.by_key = by_key
         self.shift = shift
         self.w = w
         self.mask = (1 << shift) - 1
+        self.psi = psi
         self.size = sum(map(len, chain.from_iterable(by_key.values())))
         self.products = products
         self.packed = packed
+        self.compared = compared
 
     def __len__(self) -> int:
         return self.size
@@ -190,15 +258,17 @@ class Sphere:
         p = x >> self.shift
         np = -(-p.bit_length() // self.w) % BLOCK
         low = np * self.w
-        key = (x & self.mask, p & ((1 << low) - 1), np)
-        return any(p >> low in bases for bases in self.by_key.get(key, ()))
+        base = p >> low
+        key = (x & self.mask, p & ((1 << low) - 1), np, self.psi.of(base))
+        return any(base in bases for bases in self.by_key.get(key, ()))
 
     def __iter__(self):
         shift, w = self.shift, self.w
         return chain.from_iterable(
             map(or_, map(lshift, bases, repeat(shift + np * w)),
                 repeat(pend << shift | tail))
-            for (tail, pend, np), sets in self.by_key.items() for bases in sets)
+            for (tail, pend, np, _), sets in self.by_key.items()
+            for bases in sets)
 
 
 def _disjoint(sets: list[set[int]]) -> list[set[int]]:
@@ -214,10 +284,10 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
     starting with the radius-0 sphere {identity}: sphere n holds the right
     products not seen at any smaller radius.
 
-    An element is kept in classes (shortlex state, tail, pend, np) -> set
-    of bases; a class steps only by the letters `_shortlex_moves` allows
-    after its state, and its set goes to the target class as it is, or
-    through one batch when whole blocks move into the bases.  An empty
+    An element is kept in classes (shortlex state, tail, pend, np, pb) ->
+    set of bases; a class steps only by the letters `_shortlex_moves`
+    allows after its state, and its set goes to the target class as it is,
+    or through one batch when whole blocks move into the bases.  An empty
     sphere is yielded once and ends the iteration.  With a budget,
     iteration stops silently before a level whose worst case (elements so
     far) + len(sphere) * len(letters) would exceed it.
@@ -225,23 +295,28 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
     table = StepTable(spec, letters)
     moves = _shortlex_moves(table)
     shift, mask, w = table.shift, table.mask, spec.digit_bits
-    symmetric = {l.key() for l in letters} == {invert(spec, l).key() for l in letters}
+    lam = _weights(spec, letters)
+    psi = _Psi(lam or [0] * (1 << w), w)
     one = encode_flat(spec, identity_nf(spec))
-    classes = {(0, one & mask, 0, 0): {0}}
-    sphere = Sphere({(one & mask, 0, 0): [{0}]}, shift, w, 1, 1)
-    older: dict[tuple[int, int, int], list[set[int]]] = {}
+    # closed under inversion: each letter times some letter is the identity
+    # (a letter fits in a tail, and `_shortlex_moves` filled its row)
+    symmetric = all(any(t == one for t, _ in table[encode_flat(spec, l)])
+                    for l in letters)
+    classes = {(0, one & mask, 0, 0, 0): {0}}
+    sphere = Sphere({(one & mask, 0, 0, 0): [{0}]}, shift, w, psi, 1, 1, 0)
+    older: dict[tuple[int, int, int, int], list[set[int]]] = {}
     total = 1
     # products placed element by element; emptied into nxt every level
-    loose: dict[tuple[int, int, int, int], set[int]] = defaultdict(set)
+    loose: dict[tuple[int, int, int, int, int], set[int]] = defaultdict(set)
     while True:
         yield sphere
         if not sphere or (budget is not None
                           and total + len(sphere) * len(letters) > budget):
             return
-        nxt: dict[tuple[int, int, int, int], list[set[int]]] = defaultdict(list)
+        nxt: dict[tuple[int, int, int, int, int], list[set[int]]] = defaultdict(list)
         flushed: dict[tuple[int, int, int], set[int]] = {}
-        products = packed = 0
-        for (state, tail, pend, np), bases in classes.items():
+        products = packed = compared = 0
+        for (state, tail, pend, np, pb), bases in classes.items():
             row = table[tail]
             products += len(bases) * len(moves[state])
             for k, after in moves[state]:
@@ -260,30 +335,35 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
                                 or_, map(lshift, bases, repeat(bits)), repeat(hi)))
                             packed += len(bases)
                         nxt[after, t & mask, pend2 & ((1 << keep * w) - 1),
-                            keep].append(flushed[memo])
+                            keep, pb + psi[hi]].append(flushed[memo])
                     else:
-                        nxt[after, t & mask, pend2, np2].append(bases)
+                        nxt[after, t & mask, pend2, np2, pb].append(bases)
                 elif np * w >= shift - s:
                     # the product is shorter than the tail: its new tail
                     # takes digits from the pending block
                     r = shift - s
                     nxt[after, (pend & ((1 << r) - 1)) << s | t, pend >> r,
-                        np - r // w].append(bases)
+                        np - r // w, pb].append(bases)
                 else:
-                    # ... and from the bases: element by element
+                    # ... and from the bases: element by element, a base b
+                    # losing its low r + np2 * w bits
                     packed += len(bases)
+                    r = shift - s - np * w
                     for b in bases:
                         y = (b << np * w | pend) << s | t
-                        p = y >> shift
+                        p = b >> r
                         np2 = -(-p.bit_length() // w) % BLOCK
-                        loose[after, y & mask, p & ((1 << np2 * w) - 1),
-                              np2].add(p >> np2 * w)
+                        low = np2 * w
+                        loose[after, y & mask, p & ((1 << low) - 1), np2,
+                              pb - psi[b & ((1 << r + low) - 1)] if lam else pb
+                              ].add(p >> low)
         if loose:
             for key, bases in loose.items():
                 nxt[key].append(bases)
             loose.clear()
-        # exact dedupe per (tail, pend, np); an element reached under several
-        # states stays under each (one is its true state) and is counted once
+        # exact dedupe per (tail, pend, np, pb); an element reached under
+        # several states stays under each (one is its true state) and is
+        # counted once
         if symmetric:
             drop = (sphere.by_key, older)
             older = sphere.by_key
@@ -292,7 +372,7 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
                 older.setdefault(key, [set()])[0].update(*sets)
             drop = (older,)
         classes = {}
-        by_key: dict[tuple[int, int, int], list[set[int]]] = defaultdict(list)
+        by_key: dict[tuple[int, int, int, int], list[set[int]]] = defaultdict(list)
         for key, sets in nxt.items():
             bases = sets[0] if len(sets) == 1 else set().union(*sets)
             sub = key[1:]
@@ -300,8 +380,10 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
                 for old in seen.get(sub, ()):
                     if bases is old:
                         bases = set()
-                    elif not bases.isdisjoint(old):
-                        bases = bases - old
+                    else:
+                        compared += min(len(bases), len(old))
+                        if not bases.isdisjoint(old):
+                            bases = bases - old
             if bases:
                 classes[key] = bases
                 by_key[sub].append(bases)
@@ -309,7 +391,7 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             for sub, sets in by_key.items():
                 if len(sets) > 1:
                     by_key[sub] = _disjoint(sets)
-        sphere = Sphere(by_key, shift, w, products, packed)
+        sphere = Sphere(by_key, shift, w, psi, products, packed, compared)
         total += len(sphere)
 
 
@@ -343,6 +425,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     candidates = [1]
     products = [1]
     packed = [1]
+    compared = [0]
     truncated = False
     for _ in range(nmax):
         t0 = time.perf_counter()
@@ -353,6 +436,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         candidates.append(sphere[-1] * len(letters))
         products.append(nxt.products)
         packed.append(nxt.packed)
+        compared.append(nxt.compared)
         sphere.append(len(nxt))
         timings.append(time.perf_counter() - t0)
         if not nxt:
@@ -373,6 +457,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         candidates=tuple(candidates),
         products=tuple(products),
         packed=tuple(packed),
+        compared=tuple(compared),
     )
 
 

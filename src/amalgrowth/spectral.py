@@ -9,6 +9,7 @@ endpoint evaluation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -309,31 +310,62 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return x
 
 
+def _solve_square(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """The unique solution of the square integer system rows*x = rhs, or None
+    if it is singular; fraction-free (Bareiss) elimination, so every
+    division before the back substitution is exact in integers."""
+    m = [row + [b] for row, b in zip(rows, rhs)]
+    n = len(m)
+    prev = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        top = m[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            f = m[i][c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        x[i] = (row[n] - sum((row[j] * x[j] for j in range(i + 1, n)),
+                             Fraction(0))) / row[i]
+    return x
+
+
 def fit_recurrence(seq, *, guard: int = 5, max_order: int | None = None) -> Recurrence | None:
     """Minimal-order exact linear recurrence reproducing all of seq.
 
     The last `guard` terms are held out of the fit and used for verification;
-    returns None if no order <= (len(seq) - guard) // 2 fits.
+    returns None if no order <= (len(seq) - guard) // 2 fits.  An order d
+    solves the first d training equations; when they are nonsingular their
+    solution is the only candidate, otherwise any exact solution of all the
+    training equations is.  Either way the candidate must reproduce every
+    term.
     """
     seq = [int(v) for v in seq]
     n = len(seq)
-    limit = (n - guard) // 2
+    train_end = n - guard
+    limit = train_end // 2
     if max_order is not None:
         limit = min(limit, max_order)
     for d in range(1, limit + 1):
-        train_end = n - guard
-        rows = [[Fraction(seq[k - i]) for i in range(1, d + 1)]
-                for k in range(d, train_end)]
-        rhs = [Fraction(seq[k]) for k in range(d, train_end)]
-        if len(rows) < d:
-            break
-        sol = _solve_exact(rows, rhs)
+        sol = _solve_square([seq[k - d:k][::-1] for k in range(d, 2 * d)],
+                            seq[d:2 * d])
         if sol is None:
-            continue
-        ok = all(
-            sum(sol[i - 1] * seq[k - i] for i in range(1, d + 1)) == seq[k]
-            for k in range(d, n))
-        if ok:
+            sol = _solve_exact(
+                [[Fraction(seq[k - i]) for i in range(1, d + 1)]
+                 for k in range(d, train_end)],
+                [Fraction(seq[k]) for k in range(d, train_end)])
+            if sol is None:
+                continue
+        den = math.lcm(*(c.denominator for c in sol))
+        num = [c.numerator * (den // c.denominator) for c in sol][::-1]
+        if all(sum(map(operator.mul, num, seq[k - d:k])) == den * seq[k]
+               for k in range(d, n)):
             return Recurrence(order=d, coefficients=tuple(sol),
                               initial=tuple(seq[:d]), guard=guard)
     return None

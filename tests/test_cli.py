@@ -54,7 +54,8 @@ def test_growth_report_level_counters(tmp_path, capsys):
     # (pgl2z's three involutions a, b, c); the engine's shortlex filter
     # forms only the products that are new here; it builds a prefix int
     # only where whole blocks of pending syllables are packed into a base,
-    # or where a product shorter than the tail is placed element by element
+    # or where a product shorter than the tail is placed element by element;
+    # dedupe tests no base against an older sphere this shallow
     csv = tmp_path / "t.csv"
     assert cli.main(["growth", "pgl2z", "--nmax", "5", "--format", "json",
                      "--out", str(csv)]) == 0
@@ -65,6 +66,7 @@ def test_growth_report_level_counters(tmp_path, capsys):
     assert report["level_duplicates"] == [0, 0, 4, 8, 12, 15]
     assert report["level_products"] == [1, 3, 5, 7, 9, 12]
     assert report["level_packed"] == [1, 1, 0, 0, 0, 2]
+    assert report["level_compared"] == [0] * 6
     assert len(report["level_seconds"]) == 6
     # the CSV carries none of the counters
     assert csv.read_text().splitlines()[0] == (
@@ -77,12 +79,16 @@ def test_growth_report_level_counters(tmp_path, capsys):
     assert n < 31
     assert [len(report[k]) for k in ("level_candidates", "level_new",
                                      "level_duplicates", "level_products",
-                                     "level_packed", "level_seconds")] == [n] * 6
-    # on a deeper ball most elements step without a new prefix int
+                                     "level_packed", "level_compared",
+                                     "level_seconds")] == [n] * 7
+    # on a deeper ball most elements step without a new prefix int; c2*c4's
+    # one-syllable letters make the dedupe key carry the word length, so no
+    # key of a new sphere is a key of an older one
     assert cli.main(["growth", "c2*c4", "--nmax", "16", "--format", "json",
                      "--out", str(csv)]) == 0
     report = json.loads((tmp_path / "t.csv.json").read_text())
     assert sum(report["level_packed"]) < sum(report["level_new"])
+    assert report["level_compared"] == [0] * 17
     assert capsys.readouterr().out == ""
 
 

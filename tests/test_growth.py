@@ -5,12 +5,14 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgrowth.amalgam import StepTable, identity_nf, invert, multiply
+from amalgrowth import growth
+from amalgrowth.amalgam import StepTable, encode_flat, identity_nf, invert, multiply
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
     BLOCK,
@@ -18,7 +20,9 @@ from amalgrowth.growth import (
     GenSetError,
     _levels,
     _named_letters,
+    _Psi,
     _shortlex_moves,
+    _weights,
     enumerate_balls,
     growth_table_csv,
     make_genset,
@@ -56,13 +60,24 @@ def test_sphere_stream_matches_enumerate_balls():
         assert table.truncated == (next(stream, None) is None)
 
 
-@settings(max_examples=40, deadline=None)
+def _random_weights(seed):
+    """A stand-in for `growth._weights`: random non-negative weights for
+    every digit, the 0 digit included."""
+    def weights(spec, letters):
+        rng = random.Random(seed)
+        return [rng.randrange(5) for _ in range(1 << spec.digit_bits)]
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(catalog_names()), seed=st.integers(0, 2 ** 32 - 1),
-       inverses=st.booleans(), budget=st.sampled_from([None, 500, 5000]))
-def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
+       inverses=st.booleans(), budget=st.sampled_from([None, 500, 5000]),
+       weighted=st.booleans())
+def test_levels_match_the_reference_bfs(name, seed, inverses, budget, weighted):
     # criterion 7's random generating sets; with inverses the letters are
     # closed under inversion and the engine keeps three spheres, without
-    # them it keeps every element it has seen
+    # them it keeps every element it has seen; the dedupe key carries psi
+    # of the base, a function of the base, so random weights keep it exact
     entry = catalog_load(name)
     rng = random.Random(seed)
     gens = None
@@ -70,8 +85,10 @@ def test_levels_match_the_reference_bfs(name, seed, inverses, budget):
         gens = _random_genset(entry, rng)
     letters = [g for _, g in _named_letters(entry.spec, gens, inverses)]
     nmax = 8
+    weights = _random_weights(seed) if weighted else growth._weights
     # spheres carry no order: they are compared as sets, each element once
-    got = list(itertools.islice(_levels(entry.spec, letters, budget), nmax + 1))
+    with mock.patch.object(growth, "_weights", weights):
+        got = list(itertools.islice(_levels(entry.spec, letters, budget), nmax + 1))
     assert _same_spheres(entry.spec, got,
                          _reference_spheres(entry.spec, letters, nmax, budget))
 
@@ -98,6 +115,50 @@ def test_levels_match_the_reference_bfs_on_long_and_shrinking_letters(
     assert not two_blocks or max(len(l) for l in letters) > BLOCK
     got = list(itertools.islice(_levels(spec, letters, budget), nmax + 1))
     assert _same_spheres(spec, got, _reference_spheres(spec, letters, nmax, budget))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@pytest.mark.parametrize("inverses", [True, False])
+@pytest.mark.parametrize("name", ["c2*c4", "c2*c5", "c2*c2xc2"])
+def test_levels_are_exact_for_any_digit_weights_on_free_product_sets(
+        name, inverses, seed):
+    # radius 12 puts 11 syllables above a one-syllable tail: two block
+    # flushes, each adding psi of the moved digits to the class key
+    entry = catalog_load(name)
+    spec = entry.spec
+    letters = [g for _, g in _named_letters(spec, entry.default_genset, inverses)]
+    nmax = 12
+    with mock.patch.object(growth, "_weights", _random_weights(seed)):
+        got = list(itertools.islice(_levels(spec, letters), nmax + 1))
+    assert _same_spheres(spec, got, _reference_spheres(spec, letters, nmax))
+
+
+@pytest.mark.parametrize("inverses", [True, False])
+@pytest.mark.parametrize("name", ["c2*c4", "c2*c5", "c2*c2xc2"])
+def test_digit_weights_sum_to_word_length_on_free_product_sets(name, inverses):
+    # one-syllable letters of a free product: psi of an element is its
+    # sphere index in a plain BFS over multiply
+    entry = catalog_load(name)
+    spec = entry.spec
+    letters = [g for _, g in _named_letters(spec, entry.default_genset, inverses)]
+    psi = _Psi(_weights(spec, letters), spec.digit_bits)
+    for n, sphere in enumerate(_reference_spheres(spec, letters, 10)):
+        assert {psi.of(encode_flat(spec, x)) for x in sphere} == {n}
+    # so with inverses no key of a new sphere is a key of an older one, and
+    # dedupe tests no base
+    if inverses:
+        table = enumerate_balls(spec, entry.default_genset, 16)
+        assert table.compared == (0,) * 17
+
+
+@pytest.mark.parametrize("name", ["c2*c3", "pgl2z", "gl2z"])
+def test_digit_weights_are_zero_where_length_is_not_additive(name):
+    # c2*c3's {a, ba} has a two-syllable letter; pgl2z and gl2z amalgamate
+    # over a nontrivial C
+    entry = catalog_load(name)
+    letters = [g for _, g in _named_letters(entry.spec, entry.default_genset, True)]
+    assert not any(_weights(entry.spec, letters) or ())
 
 
 def test_sphere_stream_memory_is_bounded_on_linear_growth():

@@ -2,10 +2,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amalgrowth.catalog import catalog_load
+from amalgrowth.growth import enumerate_balls
 from amalgrowth.spectral import (
     Recurrence,
     WeightedAlphabet,
+    _solve_exact,
     count_avoiding,
     descartes_sign_changes,
     dominant_root,
@@ -95,6 +100,50 @@ def test_fit_requires_guard_terms():
     # an order-5 "fit" always exists on 10 terms; the guard must block it
     assert fit_recurrence([1, 2, 4, 9, 17, 40, 79, 163, 331, 669],
                           guard=3) is None
+
+
+def _reference_fit(seq, guard):
+    """(order, coefficients, initial) of the plain fit: for each order d in
+    turn, any exact solution of all the training equations that reproduces
+    every term, or None."""
+    n = len(seq)
+    for d in range(1, (n - guard) // 2 + 1):
+        rows = [[Fraction(seq[k - i]) for i in range(1, d + 1)]
+                for k in range(d, n - guard)]
+        sol = _solve_exact(rows, [Fraction(seq[k]) for k in range(d, n - guard)])
+        if sol is not None and all(
+                sum(sol[i - 1] * seq[k - i] for i in range(1, d + 1)) == seq[k]
+                for k in range(d, n)):
+            return d, tuple(sol), tuple(seq[:d])
+    return None
+
+
+def _fit(seq, guard):
+    rec = fit_recurrence(seq, guard=guard)
+    return None if rec is None else (rec.order, rec.coefficients, rec.initial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficients=st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+       data=st.data(), guard=st.integers(0, 6))
+def test_fit_recurrence_matches_the_plain_fit_on_random_recurrences(
+        coefficients, data, guard):
+    d = len(coefficients)
+    seq = data.draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+    for _ in range(data.draw(st.integers(0, 24))):
+        seq.append(sum(c * seq[-i] for i, c in enumerate(coefficients, 1)))
+    if seq and data.draw(st.booleans()):
+        seq[data.draw(st.integers(0, len(seq) - 1))] += 1
+    assert _fit(seq, guard) == _reference_fit(seq, guard)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("c2*c3", 21), ("pgl2z", 33), ("c2*c5", 18), ("c2*c4", 22), ("c2*c2xc2", 20)])
+def test_fit_recurrence_matches_the_plain_fit_on_deep_spheres(name, depth):
+    # the five deep balls of the benchmark's deep_ball workload
+    entry = catalog_load(name)
+    seq = list(enumerate_balls(entry.spec, entry.default_genset, depth).sphere)
+    assert _fit(seq, 4) == _reference_fit(seq, 4) is not None
 
 
 def test_count_avoiding_unrestricted():

@@ -21,9 +21,9 @@ from .catalog import (
     parse_word,
 )
 from .growth import (
+    ball_estimates,
     enumerate_balls,
     growth_table_csv,
-    rate_estimates,
     shortest_word,
 )
 from .pingpong import (
@@ -32,8 +32,7 @@ from .pingpong import (
     replay,
 )
 from .spectral import (
-    dominant_root,
-    fit_recurrence,
+    fit_rate,
     largest_positive_root,
     positive_root_from_lengths,
 )
@@ -107,12 +106,11 @@ def cmd_growth(args) -> int:
     # ru_maxrss is in KiB on Linux
     report["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if table.nmax >= 2:
-        est = rate_estimates(table)
-        report["root_estimate"] = est.root_estimate
-        report["ratio_estimate"] = est.ratio_estimate
-    rec = fit_recurrence(list(table.sphere), guard=4)
-    if rec is not None:
-        enc = dominant_root(rec)
+        report["root_estimate"], report["ratio_estimate"] = ball_estimates(
+            table, table.nmax)
+    fit = fit_rate(table.sphere)
+    if fit is not None:
+        rec, enc = fit.recurrence, fit.enclosure
         report["recurrence"] = {
             "order": rec.order,
             "coefficients": [str(c) for c in rec.coefficients],
@@ -121,7 +119,9 @@ def cmd_growth(args) -> int:
         if enc is not None:
             report["dominant_root"] = {"lo": str(enc.lo), "hi": str(enc.hi),
                                        "mid": enc.mid,
-                                       "bisection_steps": enc.bisection_steps}
+                                       "bisection_steps": enc.bisection_steps,
+                                       "basis": "fitted", "guard": rec.guard,
+                                       "skip": fit.skip}
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)

@@ -64,8 +64,11 @@ from .amalgam import (
     is_identity,
     multiply,
 )
+from .spectral import FittedRate, fit_rate
 
 DEFAULT_BUDGET = 10_000_000
+# sphere counts `rate` reads before its first fit attempt
+MIN_FIT_TERMS = 10
 # prefix digits packed into an element's base at a time (module docstring)
 BLOCK = 4
 
@@ -461,32 +464,22 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     )
 
 
-@dataclass(frozen=True)
-class RateEstimates:
-    """Ball-based estimates of the exponential growth rate.
-
-    root estimates ball[n]^(1/n) are upper bounds on the true rate (the
-    growth function is submultiplicative); ratio estimates are heuristic.
-    """
-    root_sequence: tuple[float, ...]
-    ratio_sequence: tuple[float, ...]
-    root_estimate: float
-    ratio_estimate: float
-    reliable: bool
-
-
-def rate_estimates(table: GrowthTable) -> RateEstimates:
-    if table.nmax < 2:
-        raise ValueError("need nmax >= 2 for rate estimates")
-    roots = tuple(table.ball[n] ** (1.0 / n) for n in range(1, table.nmax + 1))
-    ratios = tuple(table.ball[n] / table.ball[n - 1] for n in range(1, table.nmax + 1))
-    return RateEstimates(
-        root_sequence=roots,
-        ratio_sequence=ratios,
-        root_estimate=roots[-1],
-        ratio_estimate=ratios[-1],
-        reliable=not table.truncated,
-    )
+def rate(spec: AmalgamSpec, gens: GenSet, *, nmax: int,
+         budget: int = DEFAULT_BUDGET) -> FittedRate | None:
+    """The fitted rate of the sphere counts of radius 0..nmax, streamed:
+    from MIN_FIT_TERMS terms on, the first `fit_rate(..., complete=False)`
+    ends the stream; else `fit_rate` of all the counts read, once the
+    stream ends (budget or an empty sphere) or radius nmax is read."""
+    seq: list[int] = []
+    for s in sphere_stream(spec, gens, budget=budget):
+        seq.append(s)
+        if len(seq) > nmax:
+            break
+        if len(seq) >= MIN_FIT_TERMS:
+            fit = fit_rate(seq, complete=False)
+            if fit is not None:
+                return fit
+    return fit_rate(seq)
 
 
 def word_length(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
@@ -529,12 +522,18 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     return (n, word)
 
 
+def ball_estimates(table: GrowthTable, n: int) -> tuple[float, float]:
+    """(root, ratio) estimates of the growth rate at radius n >= 1:
+    ball[n]^(1/n), an upper bound on the rate (the growth function is
+    submultiplicative), and the heuristic ball[n] / ball[n-1]."""
+    return table.ball[n] ** (1.0 / n), table.ball[n] / table.ball[n - 1]
+
+
 def growth_table_csv(table: GrowthTable) -> str:
     """CSV with columns n, sphere, ball, root_estimate, ratio_estimate."""
     buf = io.StringIO()
     buf.write("n,sphere,ball,root_estimate,ratio_estimate\n")
     for n in range(table.nmax + 1):
-        root = "" if n == 0 else repr(table.ball[n] ** (1.0 / n))
-        ratio = "" if n == 0 else repr(table.ball[n] / table.ball[n - 1])
+        root, ratio = ("", "") if n == 0 else map(repr, ball_estimates(table, n))
         buf.write(f"{n},{table.sphere[n]},{table.ball[n]},{root},{ratio}\n")
     return buf.getvalue()

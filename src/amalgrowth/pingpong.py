@@ -51,6 +51,7 @@ from .tree import (
     displacement,
     fixed_set,
     geodesic,
+    nearest_pair,
     tree_distance,
 )
 
@@ -455,11 +456,8 @@ def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],
                   radius: int) -> list[TreeVertex]:
     """Vertices fixed by every generator, within the radius ball around a
     fixed witness of the first one."""
-    base = fixed_set(spec, gens[0], radius)
-    out = [v for v in base
-           if all(act(spec, g, v) == v for g in gens[1:])]
-    out.sort(key=TreeVertex.sort_key)
-    return out
+    return [v for v in fixed_set(spec, gens[0], radius)
+            if all(act(spec, g, v) == v for g in gens[1:])]
 
 
 def _middle_edge(path: list[TreeVertex]) -> tuple[TreeVertex, TreeVertex]:
@@ -486,8 +484,7 @@ def _split_elliptic_elliptic(
     if set(fx) & set(fy):
         _diag(diagnostics, "subgroups share a fixed vertex; not a split")
         return None
-    d, p, q = min(((tree_distance(u, v), u, v) for u in fx for v in fy),
-                  key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
+    d, p, q = nearest_pair(fx, fy)
     m, mp = _middle_edge(geodesic(p, q))
     sample = min(radius, SAMPLE_RADIUS)
     auxiliary = (
@@ -528,8 +525,7 @@ def _split_elliptic_hyperbolic(
         _diag(diagnostics, "a fixed vertex lies on the axis")
         return None
     axis = axis_segment(spec, y, radius)
-    d, p, q = min(((tree_distance(u, v), u, v) for u in fx for v in axis),
-                  key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
+    d, p, q = nearest_pair(fx, axis)
     p1 = geodesic(q, p)[1]
     f = geodesic(q, act(spec, y, q))[1]
     r = geodesic(q, act(spec, invert(spec, y), q))[1]
@@ -564,8 +560,7 @@ def _split_hyperbolic_hyperbolic(
     xtau, ytau = classify(spec, x).tau, classify(spec, y).tau
     ax = axis_segment(spec, x, radius)
     ay = axis_segment(spec, y, radius)
-    pairs = ((tree_distance(u, v), u, v) for u in ax for v in ay)
-    d, qx, qy = min(pairs, key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
+    d, qx, qy = nearest_pair(ax, ay)
     if d == 0:
         _diag(diagnostics, "axes intersect within radius")
         return None

@@ -165,26 +165,16 @@ def _bisect(p, lo: Fraction, hi: Fraction,
     return lo, hi, steps
 
 
-def unique_positive_root(p, *, bracket=None,
-                         width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
-    """Enclosure of the unique positive real root of p.
-
-    Uniqueness is certified by a single Descartes sign change; a caller who
-    knows a bracketing interval may supply one instead (used for polynomials
-    with several sign changes, e.g. picking out the larger root).
-    """
+def unique_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
+    """Enclosure of the unique positive real root of p, uniqueness being
+    certified by a single Descartes sign change."""
     p = poly_trim([Fraction(c) for c in p])
     if not p or len(p) == 1:
         raise RootIsolationError("constant polynomial has no positive root")
-    if bracket is not None:
-        lo, hi = Fraction(bracket[0]), Fraction(bracket[1])
-        lo2, hi2, steps = _bisect(p, lo, hi, width)
-        return RootEnclosure(lo2, hi2, unique_positive=False, bisection_steps=steps)
     changes = descartes_sign_changes(p)
     if changes != 1:
         raise RootIsolationError(
-            f"need exactly one coefficient sign change (got {changes}); "
-            "supply a bracket")
+            f"need exactly one coefficient sign change (got {changes})")
     while p[0] == 0:
         p = p[1:]  # roots at 0 are not positive
     lo = Fraction(0)
@@ -336,7 +326,7 @@ def _solve_square(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | Non
     return x
 
 
-def fit_recurrence(seq, *, guard: int = 5, max_order: int | None = None) -> Recurrence | None:
+def fit_recurrence(seq, *, guard: int = 5) -> Recurrence | None:
     """Minimal-order exact linear recurrence reproducing all of seq.
 
     The last `guard` terms are held out of the fit and used for verification;
@@ -349,10 +339,7 @@ def fit_recurrence(seq, *, guard: int = 5, max_order: int | None = None) -> Recu
     seq = [int(v) for v in seq]
     n = len(seq)
     train_end = n - guard
-    limit = train_end // 2
-    if max_order is not None:
-        limit = min(limit, max_order)
-    for d in range(1, limit + 1):
+    for d in range(1, train_end // 2 + 1):
         sol = _solve_square([seq[k - d:k][::-1] for k in range(d, 2 * d)],
                             seq[d:2 * d])
         if sol is None:
@@ -376,6 +363,39 @@ def dominant_root(rec: Recurrence, *, width: Fraction = DEFAULT_WIDTH) -> RootEn
     if rec.order < 1:
         raise ValueError("trivial recurrence")
     return largest_positive_root(rec.char_poly(), width=width)
+
+
+# (guard, largest skip) pairs `fit_rate` tries in turn: while more terms can
+# come, and once the counts are complete
+FIT_SCHEDULE = ((4, 5), (3, 6))
+COMPLETE_FIT_SCHEDULE = ((4, 6), (3, 7), (2, 8), (1, 8))
+
+
+@dataclass(frozen=True)
+class FittedRate:
+    """A growth rate read off a recurrence fitted to counts[skip:]: evidence
+    resting on the recurrence's `guard` held-out terms, not a proof."""
+    recurrence: Recurrence
+    skip: int
+    enclosure: RootEnclosure | None
+
+    def __str__(self) -> str:
+        mid = self.enclosure.mid if self.enclosure else None
+        return f"{mid} (fitted, guard {self.recurrence.guard}, skip {self.skip})"
+
+
+def fit_rate(counts, *, complete: bool = True) -> FittedRate | None:
+    """The first fit of the schedule, counts[skip:] at guard, with its
+    dominant root; None if none fits.  The first try is the plain fit, guard
+    4 and skip 0; guards below 3 are tried only once the counts are
+    complete, when no later term will come to check them."""
+    seq = [int(v) for v in counts]
+    for guard, max_skip in COMPLETE_FIT_SCHEDULE if complete else FIT_SCHEDULE:
+        for skip in range(min(max_skip, max(0, len(seq) - 2 * guard)) + 1):
+            rec = fit_recurrence(seq[skip:], guard=guard)
+            if rec is not None:
+                return FittedRate(rec, skip, dominant_root(rec))
+    return None
 
 
 # ---------------------------------------------------------------------------

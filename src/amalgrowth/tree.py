@@ -22,7 +22,6 @@ from .amalgam import (
     AmalgamSpec,
     NormalForm,
     cyclic_reduce,
-    identity_nf,
     invert,
     multiply,
 )
@@ -109,6 +108,13 @@ def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
         node = _parent(node)
         d += 1
     return d + chain[node]
+
+
+def nearest_pair(us, vs) -> tuple[int, TreeVertex, TreeVertex]:
+    """(d, u, v) with d = tree_distance(u, v) least over u in us and v in
+    vs, ties broken by u's and then v's sort_key."""
+    return min(((tree_distance(u, v), u, v) for u in us for v in vs),
+               key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
 
 
 def distance(spec: AmalgamSpec, u: TreeVertex, v: TreeVertex,
@@ -298,8 +304,7 @@ def elliptic_product_check(spec: AmalgamSpec, x: NormalForm, y: NormalForm,
     if set(fx) & set(fy):
         return EllipticProductReport(False, False, None, None,
                                      "fixed sets intersect within the radius")
-    pairs = ((tree_distance(u, v), u, v) for u in fx for v in fy)
-    d, u, v = min(pairs, key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
+    d, u, v = nearest_pair(fx, fy)
     g = multiply(spec, x, invert(spec, y))
     cls = classify(spec, g)
     if not cls.hyperbolic or cls.tau != 2 * d:

@@ -31,15 +31,13 @@ from .growth import (
     enumerate_balls,
     growth_table_csv,
     make_genset,
-    sphere_stream,
+    rate,
 )
 from .spectral import (
-    Recurrence,
     RootEnclosure,
     WeightedAlphabet,
     count_avoiding,
-    dominant_root,
-    fit_recurrence,
+    fit_rate,
     lpv_bound,
     poly_eval,
     poly_trim,
@@ -85,17 +83,17 @@ def _sign_change_contains(poly, enc: RootEnclosure) -> bool:
 def criterion_1(nmax: int = 25) -> CriterionResult:
     entry = catalog_load("c2*c3")
     table = enumerate_balls(entry.spec, entry.default_genset, nmax)
-    rec = fit_recurrence(list(table.sphere), guard=4)
-    if rec is None:
+    fit = fit_rate(table.sphere)
+    if fit is None:
         return CriterionResult("criterion-1", False, "no recurrence fit")
-    poly = _strip_zero_roots(rec.char_poly())
-    enc = dominant_root(rec)
+    poly = _strip_zero_roots(fit.recurrence.char_poly())
+    enc = fit.enclosure
     root_ok = enc is not None and abs(enc.mid - GOLDEN) <= TOL
     poly_ok = poly == tuple(Fraction(c) for c in GOLDEN_POLY)
     return CriterionResult(
         "criterion-1", poly_ok and root_ok,
         f"c2*c3 char poly {tuple(map(str, poly))} "
-        f"(want (-1, -1, 1)), root {enc.mid if enc else None}")
+        f"(want (-1, -1, 1)), root {fit}")
 
 
 def criterion_2(nmax: int = 20) -> CriterionResult:
@@ -109,8 +107,8 @@ def criterion_2(nmax: int = 20) -> CriterionResult:
     # w[n] = c[n] + 2 c[n-1] + c[n-2]
     stated_w_ok = all(w[n] == c[n] + c[n - 1] + c[n - 2]
                       for n in range(2, nmax + 1))
-    rec = fit_recurrence(list(table.sphere), guard=4)
-    enc = dominant_root(rec) if rec else None
+    fit = fit_rate(table.sphere)
+    enc = fit.enclosure if fit else None
     root_ok = (enc is not None and enc.width <= Fraction(1, 10 ** 9)
                and _sign_change_contains(PLASTIC_POLY, enc))
     passed = bfs_ok and c_rec_ok and stated_w_ok and root_ok
@@ -118,7 +116,7 @@ def criterion_2(nmax: int = 20) -> CriterionResult:
         "criterion-2", passed,
         f"pgl2z BFS==forms {bfs_ok}; C(n)=C(n-2)+C(n-3) {c_rec_ok}; "
         f"W(n)=C(n)+C(n-1)+C(n-2) {stated_w_ok}; "
-        f"root enclosure ok {root_ok} (mid {enc.mid if enc else None})")
+        f"root enclosure ok {root_ok} (mid {fit})")
 
 
 def criterion_3() -> CriterionResult:
@@ -142,15 +140,15 @@ def criterion_4(nmax: int = 31) -> CriterionResult:
     alpha = WeightedAlphabet((("x", 1), ("y", 1), ("t", 1)), (("x", "y"),))
     w = count_avoiding(alpha, nmax)
     rec_ok = all(w[n + 1] == 3 * w[n] - w[n - 1] for n in range(2, 31))
-    rec = fit_recurrence(w[1:], guard=4)
-    enc = dominant_root(rec) if rec else None
+    fit = fit_rate(w[1:])
+    enc = fit.enclosure if fit else None
     # (3+sqrt(5))/2 is the larger root of z^2-3z+1
     root_ok = enc is not None and _sign_change_contains((1, -3, 1), enc)
     larger_ok = enc is not None and enc.lo > 1
     return CriterionResult(
         "criterion-4", rec_ok and root_ok and larger_ok,
         f"W(n+1)=3W(n)-W(n-1) {rec_ok}; rate enclosure mid "
-        f"{enc.mid if enc else None} brackets (3+sqrt5)/2 {root_ok}")
+        f"{fit} brackets (3+sqrt5)/2 {root_ok}")
 
 
 def _poly_mul(p, q):
@@ -173,13 +171,13 @@ def criterion_5(nmax: int = 30) -> CriterionResult:
     # z^3 - 2z - 1 = (z + 1)(z^2 - z - 1), exactly
     factored = _poly_mul((1, 1), GOLDEN_POLY)
     factor_ok = poly_trim(factored) == [Fraction(v) for v in (-1, -2, 0, 1)]
-    rec = fit_recurrence(w3[2:], guard=4)
-    enc = dominant_root(rec) if rec else None
+    fit = fit_rate(w3[2:])
+    enc = fit.enclosure if fit else None
     root_ok = enc is not None and abs(enc.mid - GOLDEN) <= TOL
     return CriterionResult(
         "criterion-5", rec4_ok and rec3_ok and factor_ok and root_ok,
         f"{{2,2,3,3}} recurrence {rec4_ok}; {{2,2,3}} recurrence {rec3_ok}; "
-        f"factorization {factor_ok}; root {enc.mid if enc else None}")
+        f"factorization {factor_ok}; root {fit}")
 
 
 def _random_element(entry: CatalogEntry, rng: random.Random,
@@ -278,24 +276,11 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
     return None
 
 
-def _fit_sphere_tail(seq: list[int],
-                     final: bool) -> tuple[Recurrence, int] | None:
-    """Fit a recurrence to the sequence, allowing a short transient prefix;
-    looser guards are only tried once the sequence is complete."""
-    schedules = [(4, 5), (3, 6)] if not final else [(4, 6), (3, 7), (2, 8), (1, 8)]
-    for guard, max_skip in schedules:
-        for skip in range(min(max_skip, max(0, len(seq) - 2 * guard)) + 1):
-            rec = fit_recurrence(seq[skip:], guard=guard)
-            if rec is not None:
-                return rec, skip
-    return None
-
-
 def criterion_7(seed: int = 7, gensets: int = 10, nmax: int = 30,
                 budget: int = 800_000) -> CriterionResult:
     names = ("c2*c4", "c2*c5", "c2*c2xc2")
     failures = []
-    total = 0
+    total = loose = 0
     for name in names:
         entry = catalog_load(name)
         rng = random.Random(seed)
@@ -306,32 +291,20 @@ def criterion_7(seed: int = 7, gensets: int = 10, nmax: int = 30,
                 continue
             made += 1
             total += 1
-            seq: list[int] = []
-            fit = None
-            stream = sphere_stream(entry.spec, gens, budget=budget)
-            for s in stream:
-                seq.append(s)
-                if len(seq) > nmax + 1:
-                    break
-                if len(seq) >= 10:
-                    fit = _fit_sphere_tail(seq, final=False)
-                    if fit:
-                        break
+            fit = rate(entry.spec, gens, nmax=nmax, budget=budget)
             if fit is None:
-                fit = _fit_sphere_tail(seq, final=True)
-            if fit is None:
-                failures.append(f"{name}#{made}: no fit on {len(seq)} terms")
+                failures.append(f"{name}#{made}: no fit to radius {nmax}")
                 continue
-            rec, _ = fit
-            enc = dominant_root(rec)
+            loose += fit.recurrence.guard < 4
+            enc = fit.enclosure
             if enc is None or enc.mid < GOLDEN - TOL:
-                failures.append(
-                    f"{name}#{made}: root {enc.mid if enc else None}")
+                failures.append(f"{name}#{made}: root {fit}")
     return CriterionResult(
         "criterion-7", not failures,
         f"{total - len(failures)}/{total} seeded generating sets fitted "
-        f"with dominant root >= golden" + ("" if not failures else
-                                           "; " + "; ".join(failures)))
+        f"with dominant root >= golden; {loose}/{total} rates fitted on "
+        f"fewer than 4 held-out terms" + ("" if not failures else
+                                          "; " + "; ".join(failures)))
 
 
 def criterion_8(tmpdir: str | None = None) -> CriterionResult:
@@ -374,13 +347,12 @@ def criterion_9() -> CriterionResult:
         if entry.spec.C.order != 1:
             continue        # bound applies to free products
         table = enumerate_balls(entry.spec, entry.default_genset, 18)
-        rec = fit_recurrence(list(table.sphere), guard=4)
-        enc = dominant_root(rec) if rec else None
+        fit = fit_rate(table.sphere)
+        enc = fit.enclosure if fit else None
         bound = lpv_bound(entry.spec.A.order, entry.spec.B.order)
         good = enc is not None and enc.hi >= bound - Fraction(1, 10 ** 9)
         entries_ok = entries_ok and good
-        parts.append(f"{name}: rate {enc.mid if enc else None} >= {bound} "
-                     f"{good}")
+        parts.append(f"{name}: rate {fit} >= {bound} {good}")
     return CriterionResult("criterion-9", base_ok and entries_ok,
                            "; ".join(parts))
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import amalgrowth
 from amalgrowth import cli
 from amalgrowth.pingpong import PingPongCertificate, replay
 from amalgrowth.catalog import catalog_load
@@ -10,6 +11,10 @@ from amalgrowth.verify import CriterionResult
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def test_every_public_name_resolves():
+    assert [n for n in amalgrowth.__all__ if not hasattr(amalgrowth, n)] == []
 
 
 def test_unknown_entry_is_an_error(capsys):
@@ -100,6 +105,9 @@ def test_growth_report_bisection_steps(tmp_path, capsys):
                      "--out", str(csv)]) == 0
     report = json.loads((tmp_path / "t.csv.json").read_text())
     assert report["dominant_root"]["bisection_steps"] == 41
+    # a plain fit: guard 4 held-out terms, no skipped prefix
+    assert {k: report["dominant_root"][k] for k in ("basis", "guard", "skip")} == {
+        "basis": "fitted", "guard": 4, "skip": 0}
     assert capsys.readouterr().out == ""
 
 

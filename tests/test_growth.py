@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgrowth import growth
+from amalgrowth import cli, growth, verify
 from amalgrowth.amalgam import StepTable, encode_flat, identity_nf, invert, multiply
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
@@ -26,11 +27,12 @@ from amalgrowth.growth import (
     enumerate_balls,
     growth_table_csv,
     make_genset,
-    rate_estimates,
+    rate,
     shortest_word,
     sphere_stream,
     word_length,
 )
+from amalgrowth.spectral import fit_rate
 from amalgrowth.verify import _random_genset, _reference_spheres, _same_spheres
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -346,14 +348,40 @@ def test_word_length_identity_and_out_of_range():
     assert word_length(entry.spec, entry.default_genset, far, 2) is None
 
 
-def test_rate_estimates_bounds():
-    entry = catalog_load("c2*c3")
-    table = enumerate_balls(entry.spec, entry.default_genset, 16)
-    est = rate_estimates(table)
-    assert est.reliable
+def test_rate_estimates_bounds(tmp_path):
+    csv = tmp_path / "t.csv"
+    assert cli.main(["growth", "c2*c3", "--nmax", "16", "--format", "json",
+                     "--out", str(csv)]) == 0
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    roots = [float(line.split(",")[3])
+             for line in csv.read_text().splitlines()[2:]]
+    assert not report["truncated"]
     # ball[n]^(1/n) is an upper bound on the true rate (golden ratio here)
-    assert all(r >= 1.6180339887 for r in est.root_sequence)
-    assert est.root_estimate == est.root_sequence[-1]
+    assert all(r >= 1.6180339887 for r in roots)
+    assert report["root_estimate"] == roots[-1]
+
+
+def test_rate_reads_spheres_up_to_nmax_only():
+    entry = catalog_load("c2*c4")
+    table = enumerate_balls(entry.spec, entry.default_genset, 8)
+    got = rate(entry.spec, entry.default_genset, nmax=8)
+    assert got == fit_rate(table.sphere) is not None
+
+
+def test_criterion_7_fits_keep_their_guards_and_skips():
+    fits = []
+
+    def recording_rate(*args, **kwargs):
+        fit = rate(*args, **kwargs)
+        fits.append((fit.recurrence.guard, fit.skip))
+        return fit
+
+    with mock.patch.object(verify, "rate", recording_rate):
+        result = verify.criterion_7(seed=7)
+    assert result.passed
+    assert sorted(fits) == sorted([(4, 0)] * 9 + [(4, 2)] * 3 + [(3, 1)] * 2
+                                  + [(3, 2)] * 12 + [(3, 3)] * 2 + [(1, 6)] * 2)
+    assert "18/30 rates fitted on fewer than 4 held-out terms" in result.details
 
 
 def test_csv_schema():

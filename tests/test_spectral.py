@@ -14,6 +14,7 @@ from amalgrowth.spectral import (
     count_avoiding,
     descartes_sign_changes,
     dominant_root,
+    fit_rate,
     fit_recurrence,
     largest_positive_root,
     lpv_bound,
@@ -144,6 +145,17 @@ def test_fit_recurrence_matches_the_plain_fit_on_deep_spheres(name, depth):
     entry = catalog_load(name)
     seq = list(enumerate_balls(entry.spec, entry.default_genset, depth).sphere)
     assert _fit(seq, 4) == _reference_fit(seq, 4) is not None
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("c2*c3", 21), ("pgl2z", 33), ("c2*c5", 18), ("c2*c4", 22), ("c2*c2xc2", 20)])
+def test_fit_rate_is_the_plain_fit_on_deep_spheres(name, depth):
+    entry = catalog_load(name)
+    seq = list(enumerate_balls(entry.spec, entry.default_genset, depth).sphere)
+    rec = fit_recurrence(seq, guard=4)
+    fit = fit_rate(seq)
+    assert (fit.recurrence, fit.skip) == (rec, 0)
+    assert fit.enclosure == dominant_root(rec) is not None
 
 
 def test_count_avoiding_unrestricted():

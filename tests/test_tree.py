@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from amalgrowth.amalgam import Word, invert, multiply, reduce_word
+from amalgrowth.amalgam import SIDE_A, SIDE_B, Word, invert, multiply, reduce_word
 from amalgrowth.catalog import catalog_load, parse_word
 from amalgrowth.tree import (
     BASE_A,
     BASE_B,
+    TreeVertex,
     VerdictError,
     act,
     axis_segment,
@@ -17,6 +18,7 @@ from amalgrowth.tree import (
     elliptic_product_check,
     fixed_set,
     geodesic,
+    nearest_pair,
     neighbors,
     on_axis,
     tree_distance,
@@ -169,3 +171,15 @@ def test_elliptic_product_translation_length():
     cls = classify(entry.spec, g)
     assert cls.hyperbolic
     assert cls.tau == report.tau == 2 * report.fix_distance
+
+
+def test_nearest_pair_breaks_ties_by_sort_key():
+    # c2*c3: two pairs at distance 1, one across the base edge; u's sort key
+    # decides before v's, and a nearer pair beats any sort key
+    b_a = TreeVertex(SIDE_A, ((SIDE_B, 1),))
+    a_b = TreeVertex(SIDE_B, ((SIDE_A, 1),))
+    ab_a = TreeVertex(SIDE_A, ((SIDE_A, 1), (SIDE_B, 1)))
+    assert tree_distance(BASE_B, b_a) == tree_distance(ab_a, a_b) == 1
+    assert nearest_pair([ab_a, BASE_B], [a_b, b_a]) == (1, BASE_B, b_a)
+    assert nearest_pair([BASE_B], [a_b, b_a]) == (1, BASE_B, b_a)
+    assert nearest_pair([BASE_A, a_b], [ab_a]) == (1, a_b, ab_a)

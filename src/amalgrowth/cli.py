@@ -21,6 +21,7 @@ from .catalog import (
     parse_word,
 )
 from .growth import (
+    MIN_FIT_TERMS,
     ball_estimates,
     enumerate_balls,
     growth_table_csv,
@@ -108,7 +109,9 @@ def cmd_growth(args) -> int:
     if table.nmax >= 2:
         report["root_estimate"], report["ratio_estimate"] = ball_estimates(
             table, table.nmax)
-    fit = fit_rate(table.sphere)
+    # below MIN_FIT_TERMS counts a fit that holds out one term can give a
+    # wrong rate (pgl2z at nmax 4 and 6, gl2z at nmax 3), so none is reported
+    fit = fit_rate(table.sphere) if len(table.sphere) >= MIN_FIT_TERMS else None
     if fit is not None:
         rec, enc = fit.recurrence, fit.enclosure
         report["recurrence"] = {

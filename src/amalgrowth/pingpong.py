@@ -5,7 +5,7 @@ edge plus direction) and a list of checks.  `CHECKS` decides each check kind
 from the check's JSON dict, for the certificate search and for `replay`
 alike.  Because the group acts by tree automorphisms, g(H) is again a
 half-tree with known anchor, so disjointness and "g maps this set into that
-set" reduce to a constant number of exact distance computations.
+set" reduce to a constant number of exact key-prefix tests.
 
 `replay` derives from the payload's kind, elements and sets the checks that
 the ping-pong lemma needs for its shape (`_obligations`), requires each of
@@ -44,6 +44,8 @@ from .growth import _levels
 from .tree import (
     Classification,
     TreeVertex,
+    _at_or_above,
+    _parent,
     act,
     axis_segment,
     ball,
@@ -62,12 +64,19 @@ SAMPLE_RADIUS = 6
 @dataclass(frozen=True)
 class HalfTree:
     """The vertices strictly closer to w than to u, for an edge (u, w); one of
-    the two components of the tree minus that edge."""
+    the two components of the tree minus that edge.
+
+    `contains` is exact only when u and w are adjacent: it decides membership
+    from key prefixes, since the tree hangs from the base edge.  H(u, w) is
+    the subtree under w, or everything outside u's subtree when w is u's
+    parent.  `half_tree` and `replay` check the adjacency first."""
     u: TreeVertex
     w: TreeVertex
 
     def contains(self, v: TreeVertex) -> bool:
-        return tree_distance(v, self.w) < tree_distance(v, self.u)
+        if _parent(self.u) == self.w:
+            return not _at_or_above(self.u, v)
+        return _at_or_above(self.w, v)
 
 
 def half_tree(u: TreeVertex, w: TreeVertex) -> HalfTree:
@@ -308,6 +317,8 @@ def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
                          _vertex_from_json(spec, s["w"])) for s in cert.sets]
         required = _obligations(spec, cert.kind, cert.elements, cert.sets,
                                 cert.data)
+        # the sets must be edges before any check reads them: membership
+        # (`HalfTree.contains`) is exact only on edges
         return (required is not None
                 and cert.conclusion == _conclusion(cert.kind, cert.elements,
                                                    cert.sets, cert.data)
@@ -455,7 +466,8 @@ def _closure(spec: AmalgamSpec, gens: list[NormalForm],
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],
                   radius: int) -> list[TreeVertex]:
     """Vertices fixed by every generator, within the radius ball around a
-    fixed witness of the first one."""
+    fixed witness of the first one: `fixed_set` of the first generator (a
+    BFS inside its fixed subtree), filtered by the others."""
     return [v for v in fixed_set(spec, gens[0], radius)
             if all(act(spec, g, v) == v for g in gens[1:])]
 

@@ -84,6 +84,16 @@ def _parent(v: TreeVertex) -> TreeVertex | None:
     return TreeVertex(v.key[-1][0], v.key[:-1])
 
 
+def _at_or_above(x: TreeVertex, v: TreeVertex) -> bool:
+    """Whether x is v or an ancestor of v: x's key is a prefix of v's, and
+    x's side is the one v's chain has at that length (the side of the next
+    syllable of v's key, or v's own side when the keys are equal)."""
+    n = len(x.key)
+    if v.key[:n] != x.key:
+        return False
+    return x.side == (v.side if n == len(v.key) else v.key[n][0])
+
+
 def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
     """Exact tree distance from the canonical keys (ancestor-chain walk).
 
@@ -250,15 +260,23 @@ class VerdictError(ValueError):
 
 
 def fixed_set(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVertex]:
-    """All fixed vertices within `radius` of a fixed witness; the result is a
-    connected subtree.  Refuses hyperbolic input."""
+    """All fixed vertices within `radius` of a fixed witness, sorted by
+    sort_key; the result is a connected subtree.  Refuses hyperbolic input.
+
+    Fix(g) and the ball are subtrees holding the witness, so their
+    intersection is connected: a BFS from the witness that expands only
+    fixed vertices reaches all of it, at one `act` per neighbour of a
+    fixed vertex rather than one per ball vertex."""
     cls = classify(spec, g)
     if not cls.elliptic:
         raise VerdictError("fixed_set requires an elliptic element")
-    fixed = [v for v in ball(spec, cls.witness, radius)
-             if act(spec, g, v) == v]
-    fixed.sort(key=TreeVertex.sort_key)
-    return fixed
+    seen = {cls.witness}
+    frontier = [cls.witness]
+    for _ in range(radius):
+        frontier = [y for x in frontier for y in neighbors(spec, x)
+                    if y not in seen and act(spec, g, y) == y]
+        seen.update(frontier)
+    return sorted(seen, key=TreeVertex.sort_key)
 
 
 def axis_segment(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVertex]:

@@ -1,11 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 import amalgrowth
 from amalgrowth import cli
 from amalgrowth.pingpong import PingPongCertificate, replay
-from amalgrowth.catalog import catalog_load
+from amalgrowth.catalog import catalog_load, catalog_names
+from amalgrowth.growth import MIN_FIT_TERMS
 from amalgrowth.verify import CriterionResult
 
 
@@ -109,6 +111,35 @@ def test_growth_report_bisection_steps(tmp_path, capsys):
     assert {k: report["dominant_root"][k] for k in ("basis", "guard", "skip")} == {
         "basis": "fitted", "guard": 4, "skip": 0}
     assert capsys.readouterr().out == ""
+
+
+def _documented(entry, quantity):
+    return next((q["value"] for q in entry.expected
+                 if q["quantity"] == quantity), None)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_growth_prints_no_enclosure_that_misses_the_rate(name, capsys):
+    # a fit from fewer than MIN_FIT_TERMS counts is not reported; every
+    # printed enclosure holds the documented rate (gl2z documents only the
+    # least rate over generating sets, a lower bound)
+    entry = catalog_load(name)
+    rate = _documented(entry, "growth_rate")
+    least = _documented(entry, "minimal_growth_rate")
+    for nmax in range(21):
+        assert cli.main(["growth", name, "--nmax", str(nmax),
+                         "--format", "json"]) == 0
+        report = _json_out(capsys)
+        root = report.get("dominant_root")
+        if len(report["sphere"]) < MIN_FIT_TERMS:
+            assert "recurrence" not in report and root is None, nmax
+        if root is None:
+            continue
+        lo, hi = Fraction(root["lo"]), Fraction(root["hi"])
+        if rate is not None:
+            assert lo <= Fraction(rate) <= hi, (nmax, root)
+        else:
+            assert Fraction(least) <= hi, (nmax, root)
 
 
 def test_growth_budget_exit_code(tmp_path, capsys):

@@ -14,7 +14,7 @@ from amalgrowth.amalgam import (
     nf_from_json,
     nf_to_json,
 )
-from amalgrowth.catalog import catalog_load, parse_word
+from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.pingpong import (
     SUBGROUP_CAP,
     HalfTree,
@@ -51,6 +51,21 @@ def test_half_tree_predicates_match_pointwise_definition():
         m1, m2 = members(h1), members(h2)
         assert half_trees_disjoint(h1, h2) == (not (m1 & m2))
         assert half_tree_subset(h1, h2) == (m1 <= m2)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_half_tree_contains_matches_tree_distances(name):
+    # every edge of the radius-5 balls around both base vertices, in both
+    # directions (the base edge among them), against every vertex there
+    spec = catalog_load(name).spec
+    verts = set(ball(spec, BASE_A, 5)) | set(ball(spec, BASE_B, 5))
+    dist = {x: {v: tree_distance(v, x) for v in verts} for x in verts}
+    edges = [(u, w) for u in verts for w in neighbors(spec, u) if w in verts]
+    assert (BASE_A, BASE_B) in edges and (BASE_B, BASE_A) in edges
+    for u, w in edges:
+        h = half_tree(u, w)
+        assert [v for v in verts if h.contains(v)] \
+            == [v for v in verts if dist[w][v] < dist[u][v]], (u, w)
 
 
 def test_image_half_tree_is_equivariant():
@@ -165,8 +180,11 @@ def _without_disjoint(d):
     lambda d: d["sets"][0]["w"].update(key=[[1, 1], [1, 1]]),
     lambda d: d["elements"][0].update(inverted=True),
     lambda d: d.update(conclusion=d["conclusion"].replace("x2", "x2^-1")),
+    # X1 = H(u, w) with w a child of u; the base vertex is canonical and two
+    # steps from w, so only the edge check tells this set from X1
+    lambda d: d["sets"][0].update(u={"side": 0, "key": []}),
 ], ids=["no-checks", "element-replaced", "no-disjoint", "vertex-not-alternating",
-        "inverted-flag-flipped", "conclusion-changed"])
+        "inverted-flag-flipped", "conclusion-changed", "anchor-not-an-edge"])
 def test_replay_requires_the_obligations_of_the_shape(mutate):
     entry = catalog_load("pgl2z")
     cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))

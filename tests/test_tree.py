@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from amalgrowth.amalgam import SIDE_A, SIDE_B, Word, invert, multiply, reduce_word
-from amalgrowth.catalog import catalog_load, parse_word
+from amalgrowth.amalgam import (
+    SIDE_A,
+    SIDE_B,
+    NormalForm,
+    Word,
+    identity_nf,
+    invert,
+    multiply,
+    reduce_word,
+)
+from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.tree import (
     BASE_A,
     BASE_B,
@@ -130,6 +139,52 @@ def test_fixed_set_is_invariant():
         assert act(entry.spec, g, v) == v
     with pytest.raises(VerdictError):
         fixed_set(entry.spec, parse_word(entry, "a b c"), 4)
+
+
+def _fixed_by_ball_filter(spec, g, radius):
+    """Oracle: the fixed vertices among all of the ball around the witness."""
+    witness = classify(spec, g).witness
+    fixed = [v for v in ball(spec, witness, radius) if act(spec, g, v) == v]
+    fixed.sort(key=TreeVertex.sort_key)
+    return fixed
+
+
+def _edge_group(spec):
+    return [NormalForm((), c) for c in range(spec.C.order)]
+
+
+def _elliptic_elements(entry, length):
+    """The elements of C (the identity among them, all fixing large subtrees)
+    and every elliptic element of word length <= length over the alphabet."""
+    spec = entry.spec
+    letters = list(entry.alphabet.values())
+    letters += [invert(spec, g) for g in letters]
+    seen = {g.key(): g for g in _edge_group(spec)}
+    level = [identity_nf(spec)]
+    for _ in range(length):
+        nxt = {}
+        for g in level:
+            for x in letters:
+                h = multiply(spec, g, x)
+                if h.key() not in seen:
+                    seen[h.key()] = nxt[h.key()] = h
+        level = list(nxt.values())
+    return [g for g in seen.values() if classify(spec, g).elliptic]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_fixed_set_matches_the_ball_filter(name):
+    entry = catalog_load(name)
+    spec = entry.spec
+    for g in _elliptic_elements(entry, 4):
+        for radius in range(9):
+            assert fixed_set(spec, g, radius) \
+                == _fixed_by_ball_filter(spec, g, radius), (g, radius)
+    # one deep case: a non-identity element of C, or the identity in a free
+    # product, whose fixed set is the whole ball
+    g = next((c for c in _edge_group(spec) if c.head != spec.C.identity),
+             identity_nf(spec))
+    assert fixed_set(spec, g, 12) == _fixed_by_ball_filter(spec, g, 12)
 
 
 def test_axis_is_a_geodesic_line_segment():

@@ -160,15 +160,16 @@ def cmd_certify(args) -> int:
     entry = _load(args.spec)
     report = _provenance(entry, args)
     diagnostics: list[str] = []
+    report["search"] = stats = {}
     if args.mode == "monoid":
         elements = _parse_elements(entry, args.elements or [])
         cert = certify_free_monoid(entry.spec, elements, radius=args.radius,
-                                   diagnostics=diagnostics)
+                                   diagnostics=diagnostics, stats=stats)
     else:
         left = _parse_elements(entry, args.left or [])
         right = _parse_elements(entry, args.right or [])
         cert = certify_free_split(entry.spec, left, right, radius=args.radius,
-                                  diagnostics=diagnostics)
+                                  diagnostics=diagnostics, stats=stats)
     if cert is None:
         report["result"] = "inconclusive"
         report["diagnostics"] = diagnostics

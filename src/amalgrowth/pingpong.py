@@ -13,9 +13,9 @@ them to be listed, and re-runs every listed check.  It also binds the rest of
 the statement: the conclusion must be the text the payload's own fields give
 (`_conclusion`), the subgroup orders in `data` must be those of the generated
 subgroups, and a monoid element's `inverted` flag must match its role.
-Auxiliary checks (fixed vertices, vertices off an axis, sampled ball
-inclusions) are re-run when present but never required: sampled checks are
-evidence, not proof.  The remaining fields are unchecked hints: `radius` (the
+Auxiliary checks (fixed vertices, vertices off an axis) are re-run when
+present but never required; a check of any other kind is rejected.  The
+remaining fields are unchecked hints: `radius` (the
 search radius), and in `data` the power `ell` (the certified right element is
 y x^ell for the input y), the distances, translation lengths and the copy of
 the inversion pattern.
@@ -48,7 +48,6 @@ from .tree import (
     _parent,
     act,
     axis_segment,
-    ball,
     classify,
     displacement,
     fixed_set,
@@ -58,7 +57,6 @@ from .tree import (
 )
 
 SUBGROUP_CAP = 512
-SAMPLE_RADIUS = 6
 
 
 @dataclass(frozen=True)
@@ -172,18 +170,6 @@ def _not_on_axis(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
                         _vertex_from_json(spec, c["v"])) != c["tau"]
 
 
-def _sampled_maps_into(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
-    """Every vertex of the source set within the radius of the center lands
-    in the target set; the radius is capped so that replay stays cheap."""
-    radius = c["radius"]
-    if type(radius) is not int or not 0 <= radius <= SAMPLE_RADIUS:
-        return False
-    g, src, tgt = nf_from_json(spec, c["g"]), sets[c["source"]], sets[c["target"]]
-    center = _vertex_from_json(spec, c["center"])
-    return all(tgt.contains(act(spec, g, v))
-               for v in ball(spec, center, radius) if src.contains(v))
-
-
 # check kind -> decision from (spec, the certificate's sets, the check's dict)
 CHECKS = {
     "disjoint": lambda spec, sets, c: half_trees_disjoint(
@@ -192,7 +178,6 @@ CHECKS = {
     "hyperbolic": _hyperbolic,
     "fixes_vertex": _fixes_vertex,
     "not_on_axis": _not_on_axis,
-    "sampled_maps_into": _sampled_maps_into,
 }
 
 
@@ -387,14 +372,20 @@ def _forward_anchors(spec: AmalgamSpec, g: NormalForm,
 def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
                         radius: int | None = None,
                         diagnostics: list[str] | None = None,
+                        stats: dict | None = None,
                         ) -> PingPongCertificate | None:
     """Certificate that the elements (possibly after recorded inverse
     replacements) generate a free monoid: pairwise disjoint half-trees X_i
     with x_i(X_j) contained in X_i for all i, j.
 
     Returns None when no candidate family works at this radius
-    (inconclusive, not a refutation).
+    (inconclusive, not a refutation).  A `stats` dict, when given, receives
+    the search counters: `patterns_tried` (inversion patterns searched) and
+    `anchors_tested` (candidate half-trees tested against the family chosen
+    so far).
     """
+    counts = stats if stats is not None else {}
+    counts.update(patterns_tried=0, anchors_tested=0)
     k = len(elements)
     if k < 2:
         _diag(diagnostics, "need at least two elements")
@@ -408,6 +399,7 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     patterns = sorted(itertools.product((False, True), repeat=k),
                       key=lambda p: (sum(p), p))
     for pattern in patterns:
+        counts["patterns_tried"] += 1
         els = [invert(spec, g) if flip else g
                for g, flip in zip(elements, pattern)]
         cls = [base_cls[i] if not pattern[i] else classify(spec, els[i])
@@ -421,6 +413,7 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             if i == k:
                 return True
             for h in anchors[i]:
+                counts["anchors_tested"] += 1
                 if all(half_trees_disjoint(h, prev)
                        and half_tree_subset(image_half_tree(spec, els[i], prev), h)
                        and half_tree_subset(image_half_tree(spec, els[j], h), prev)
@@ -435,15 +428,12 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             continue
         names = [f"x{i+1}" + ("^-1" if pattern[i] else "")
                  for i in range(k)]
-        sample = min(radius, SAMPLE_RADIUS)
         # the search verified the inclusions, so this cannot fail
         return _certificate(
             spec, "free-monoid", radius,
             [{"role": names[i], "nf": nf_to_json(els[i]),
               "inverted": pattern[i], "tau": cls[i].tau} for i in range(k)],
-            [(f"X{i+1}", h) for i, h in enumerate(chosen)],
-            [_check("sampled_maps_into", g=els[i], source=i, target=i,
-                    center=chosen[0].w, radius=sample) for i in range(k)],
+            [(f"X{i+1}", h) for i, h in enumerate(chosen)], [],
             {"inverted": list(pattern),
              "translation_lengths": [c.tau for c in cls]},
             diagnostics)
@@ -498,14 +488,9 @@ def _split_elliptic_elliptic(
         return None
     d, p, q = nearest_pair(fx, fy)
     m, mp = _middle_edge(geodesic(p, q))
-    sample = min(radius, SAMPLE_RADIUS)
     auxiliary = (
         [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
-        + [_check("fixes_vertex", g=h, v=q) for h in GY if not is_identity(spec, h)]
-        + [_check("sampled_maps_into", g=g, source=1, target=0, center=m,
-                  radius=sample) for g in gx]
-        + [_check("sampled_maps_into", g=h, source=0, target=1, center=m,
-                  radius=sample) for h in gy])
+        + [_check("fixes_vertex", g=h, v=q) for h in GY if not is_identity(spec, h)])
     data = {"left_order": len(GX), "right_order": len(GY),
             "fixed_distance": d}
     data.update(extra_data)
@@ -544,14 +529,9 @@ def _split_elliptic_hyperbolic(
     if len({p1, f, r}) != 3:
         _diag(diagnostics, "axis and fixed-set directions collide")
         return None
-    sample = min(radius, SAMPLE_RADIUS)
     auxiliary = (
         [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
-        + [_check("not_on_axis", g=y, tau=tau, v=v) for v in fx]
-        + [_check("sampled_maps_into", g=y, source=0, target=1, center=q,
-                  radius=sample)]
-        + [_check("sampled_maps_into", g=g, source=1, target=0, center=q,
-                  radius=sample) for g in gx])
+        + [_check("not_on_axis", g=y, tau=tau, v=v) for v in fx])
     data = {"left_order": len(GX), "translation_length": tau,
             "axis_distance": d}
     data.update(extra_data)
@@ -579,17 +559,12 @@ def _split_hyperbolic_hyperbolic(
     ends = [geodesic(q, act(spec, g, q))[1]
             for q, g in ((qx, x), (qx, invert(spec, x)),
                          (qy, y), (qy, invert(spec, y)))]
-    sample = min(radius, SAMPLE_RADIUS)
     return _certificate(
         spec, "free-product-split", radius,
         [{"role": "left", "nf": nf_to_json(x), "tau": xtau},
          {"role": "right", "nf": nf_to_json(y), "tau": ytau}],
         [(label, HalfTree(q, end)) for label, q, end
-         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)],
-        [_check("sampled_maps_into", g=x, source=2, target=0, center=qx,
-                radius=sample),
-         _check("sampled_maps_into", g=y, source=0, target=2, center=qy,
-                radius=sample)],
+         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)], [],
         {"axis_distance": d, "translation_lengths": [xtau, ytau]},
         diagnostics)
 
@@ -597,6 +572,7 @@ def _split_hyperbolic_hyperbolic(
 def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
                        right: list[NormalForm], radius: int | None = None,
                        diagnostics: list[str] | None = None,
+                       stats: dict | None = None,
                        ) -> PingPongCertificate | None:
     """Certificate that the subgroups generated by `left` and `right` meet
     trivially and generate their free product.
@@ -604,8 +580,12 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
     Elliptic/elliptic pairs split across a middle edge of the segment joining
     their fixed sets; for a single elliptic x against a hyperbolic y whose
     axis meets Fix(x), powers l = 0..order(x)-1 are searched for a split of
-    <x> * <y x^l>, and the found l is recorded in the certificate.
+    <x> * <y x^l>, and the found l is recorded in the certificate.  A `stats`
+    dict, when given, receives `powers_tried`: the powers l >= 1 that
+    search tried.
     """
+    counts = stats if stats is not None else {}
+    counts["powers_tried"] = 0
     if not left or not right:
         _diag(diagnostics, "both sides must be nonempty")
         return None
@@ -647,6 +627,7 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
     order = len(powers)
     power = x
     for ell_exp in range(1, order):
+        counts["powers_tried"] += 1
         y2 = multiply(spec, y, power)
         power = multiply(spec, power, x)
         if classify(spec, y2).hyperbolic:

@@ -4,7 +4,8 @@ All sequence and polynomial arithmetic is done over integers / rationals;
 floating point appears only in reported midpoints of root enclosures.
 Positive roots are isolated by Descartes' rule when it applies, by a Sturm
 chain otherwise, and refined by sign-preserving bisection with exact
-endpoint evaluation.
+endpoint evaluation; on the Descartes path the signs are integer
+evaluations of the polynomial with its denominators cleared.
 """
 from __future__ import annotations
 
@@ -140,29 +141,48 @@ class RootIsolationError(ValueError):
     pass
 
 
-def _bisect(p, lo: Fraction, hi: Fraction,
+def _integer_poly(p) -> list[int]:
+    """p scaled by the lcm of its coefficient denominators: integer
+    coefficients with p's sign at every point."""
+    den = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p]
+
+
+def _eval_over(q: list[int], num: int, den: int) -> int:
+    """den^deg(q) * q(num / den) for den > 0, in integers: the homogenised
+    polynomial by Horner, so its sign is that of q(num / den)."""
+    acc = 0
+    scale = 1
+    for c in reversed(q):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _bisect(q: list[int], hi: Fraction,
             width: Fraction) -> tuple[Fraction, Fraction, int]:
-    """(lo, hi, halvings taken): a sign-changing bracket of width <= width."""
-    flo = poly_eval(p, lo)
-    fhi = poly_eval(p, hi)
-    if flo == 0:
-        return lo, lo, 0
-    if fhi == 0:
+    """(lo, hi, halvings taken): a bracket of width <= width inside [0, hi]
+    on which the integer polynomial q changes sign, given q(0) != 0 and
+    q(hi) zero or of the other sign.  The ends are numerators over
+    hi.denominator * 2^halvings, so every sign is an integer evaluation."""
+    a, b, den = 0, hi.numerator, hi.denominator
+    if _eval_over(q, b, den) == 0:
         return hi, hi, 0
-    if (flo > 0) == (fhi > 0):
-        raise RootIsolationError("bracket endpoints have equal signs")
+    positive_at_0 = q[0] > 0
     steps = 0
-    while hi - lo > width:
+    # (b - a) / den > width
+    while (b - a) * width.denominator > width.numerator * den:
         steps += 1
-        mid = (lo + hi) / 2
-        fm = poly_eval(p, mid)
+        a, b, den = 2 * a, 2 * b, 2 * den
+        mid = (a + b) // 2
+        fm = _eval_over(q, mid, den)
         if fm == 0:
-            return mid, mid, steps
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+            return Fraction(mid, den), Fraction(mid, den), steps
+        if (fm > 0) == positive_at_0:
+            a = mid
         else:
-            hi = mid
-    return lo, hi, steps
+            b = mid
+    return Fraction(a, den), Fraction(b, den), steps
 
 
 def unique_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
@@ -177,13 +197,12 @@ def unique_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure
             f"need exactly one coefficient sign change (got {changes})")
     while p[0] == 0:
         p = p[1:]  # roots at 0 are not positive
-    lo = Fraction(0)
-    flo = poly_eval(p, lo)
+    q = _integer_poly(p)
     hi = max(Fraction(1), root_upper_bound(p))
-    while (poly_eval(p, hi) > 0) == (flo > 0):
+    while (_eval_over(q, hi.numerator, hi.denominator) > 0) == (q[0] > 0):
         hi *= 2
-    lo2, hi2, steps = _bisect(p, lo, hi, width)
-    return RootEnclosure(lo2, hi2, bisection_steps=steps)
+    lo, hi, steps = _bisect(q, hi, width)
+    return RootEnclosure(lo, hi, bisection_steps=steps)
 
 
 def positive_root_from_lengths(lengths, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:

@@ -191,6 +191,31 @@ def test_certify_split(capsys):
     assert payload["replay_ok"]
 
 
+def test_certify_report_search_counters(capsys):
+    # `search` holds the search's own counters, certified or not: the monoid
+    # search's inversion patterns and tested anchors, and the split's powers
+    # l >= 1 of the power search
+    runs = [
+        (["pgl2z", "--mode", "monoid", "--elements", "b c", "a b c"],
+         "certified", {"patterns_tried": 1, "anchors_tested": 20}),
+        (["c2*c3", "--mode", "monoid", "--elements", "a b", "a b a b"],
+         "inconclusive", {"patterns_tried": 4, "anchors_tested": 144}),
+        (["pgl2z", "--mode", "monoid", "--elements", "a", "b c"],
+         "inconclusive", {"patterns_tried": 0, "anchors_tested": 0}),
+        (["pgl2z", "--mode", "split", "--left", "b", "--right", "b c"],
+         "certified", {"powers_tried": 1}),
+        (["pgl2z", "--mode", "split", "--left", "a", "--right", "b c"],
+         "inconclusive", {"powers_tried": 1}),
+        (["pgl2z", "--mode", "split", "--left", "a", "--right", "b"],
+         "inconclusive", {"powers_tried": 0}),
+    ]
+    for argv, result, search in runs:
+        cli.main(["certify"] + argv)
+        report = _json_out(capsys)
+        assert report["result"] == result, argv
+        assert report["search"] == search, argv
+
+
 def test_fixedset_and_axis(capsys):
     assert cli.main(["fixedset", "c2*c3", "a"]) == 0
     report = _json_out(capsys)

@@ -28,7 +28,15 @@ from amalgrowth.pingpong import (
     image_half_tree,
     replay,
 )
-from amalgrowth.tree import BASE_A, BASE_B, ball, neighbors, tree_distance
+from amalgrowth.tree import (
+    BASE_A,
+    BASE_B,
+    TreeVertex,
+    act,
+    ball,
+    neighbors,
+    tree_distance,
+)
 
 
 def _elements(entry, *words):
@@ -76,7 +84,6 @@ def test_image_half_tree_is_equivariant():
     img = image_half_tree(spec, g, h)
     assert tree_distance(img.u, img.w) == 1
     # membership transports: v in H iff g.v in g(H)
-    from amalgrowth.tree import act
     for v in ball(spec, BASE_A, 3):
         in_h = tree_distance(v, h.w) < tree_distance(v, h.u)
         gv = act(spec, g, v)
@@ -148,23 +155,36 @@ def _set(key, value):
     return lambda check: check.update({key: value})
 
 
-@pytest.mark.parametrize("kind, mutate, accepted", [
-    ("maps_into", lambda check: None, True),
-    ("maps_into", _drop("g"), False),
-    ("maps_into", _drop("check"), False),
-    ("maps_into", _set("source", 9), False),
-    ("maps_into", _set("g", 5), False),
-    ("maps_into", _set("g", {"syllables": [[0, 1], [0, 1]], "head": 0}), False),
-    ("sampled_maps_into", _set("radius", -1), False),
-    ("sampled_maps_into", _set("center", {"side": 0, "key": [[0, 1]]}), False),
+def _first_maps_into(mutate):
+    return lambda d: mutate(
+        next(c for c in d["checks"] if c["check"] == "maps_into"))
+
+
+def _legacy_sampled_check(d):
+    # x1(X1) in X1 sampled in the radius-6 ball around X1's inner anchor, as
+    # older certificates listed it; the inclusion holds, the kind is gone
+    d["checks"].append({"check": "sampled_maps_into",
+                        "g": d["elements"][0]["nf"], "source": 0, "target": 0,
+                        "center": d["sets"][0]["w"], "radius": 6})
+
+
+@pytest.mark.parametrize("mutate, accepted", [
+    (lambda d: None, True),
+    (_first_maps_into(_drop("g")), False),
+    (_first_maps_into(_drop("check")), False),
+    (_first_maps_into(_set("source", 9)), False),
+    (_first_maps_into(_set("g", 5)), False),
+    (_first_maps_into(_set("g", {"syllables": [[0, 1], [0, 1]], "head": 0})),
+     False),
+    (_legacy_sampled_check, False),
+    (lambda d: d["checks"].append({"check": "made_up", "source": 0}), False),
 ], ids=["valid", "no-g", "no-check", "set-index-9", "g-is-int",
-        "g-not-alternating", "sampled-radius-negative",
-        "center-not-canonical"])
-def test_replay_is_total_on_malformed_checks(kind, mutate, accepted):
+        "g-not-alternating", "legacy-sampled-check", "unknown-check-kind"])
+def test_replay_is_total_on_malformed_checks(mutate, accepted):
     entry = catalog_load("pgl2z")
     cert = certify_free_monoid(entry.spec, _elements(entry, "b c", "a b c"))
     d = copy.deepcopy(cert.to_json())
-    mutate(next(c for c in d["checks"] if c["check"] == kind))
+    mutate(d)
     assert replay(entry.spec, PingPongCertificate.from_json(d)) is accepted
 
 
@@ -257,6 +277,30 @@ def _one_certificate_per_shape():
 
 
 STRUCTURAL = {"disjoint", "maps_into", "hyperbolic"}
+
+
+def _vertex(d):
+    return TreeVertex(d["side"], tuple(tuple(s) for s in d["key"]))
+
+
+def test_maps_into_checks_hold_pointwise_on_a_ball():
+    # oracle by `act` and `tree_distance` alone, without `HalfTree.contains`:
+    # every vertex of the source set H(u, w) within radius 6 of w is carried
+    # by g to a vertex closer to w' than to u', the target set H(u', w')
+    for entry, d in _one_certificate_per_shape():
+        spec = entry.spec
+        sets = [(_vertex(s["u"]), _vertex(s["w"])) for s in d["sets"]]
+        maps = [c for c in d["checks"] if c["check"] == "maps_into"]
+        assert maps
+        for c in maps:
+            g = nf_from_json(spec, c["g"])
+            (u, w), (u2, w2) = sets[c["source"]], sets[c["target"]]
+            inside = [v for v in ball(spec, w, 6)
+                      if tree_distance(v, w) < tree_distance(v, u)]
+            assert inside
+            for v in inside:
+                gv = act(spec, g, v)
+                assert tree_distance(gv, w2) < tree_distance(gv, u2), (c, v)
 
 
 def test_replay_needs_every_structural_check_and_no_auxiliary_one():

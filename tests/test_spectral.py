@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgrowth.catalog import catalog_load
+from amalgrowth.catalog import catalog_load, catalog_names
 from amalgrowth.growth import enumerate_balls
 from amalgrowth.spectral import (
     Recurrence,
@@ -19,6 +19,7 @@ from amalgrowth.spectral import (
     largest_positive_root,
     lpv_bound,
     positive_root_from_lengths,
+    root_upper_bound,
     unique_positive_root,
 )
 
@@ -192,3 +193,82 @@ def test_lpv_bound_values():
 def test_enclosure_width_request():
     enc = unique_positive_root([-1, -1, 1], width=Fraction(1, 10**15))
     assert enc.width <= Fraction(1, 10**15) or enc.degenerate
+
+
+def _horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _reference_root(p, width):
+    """(lo, hi, steps) of `unique_positive_root`, with every sign taken by
+    Fraction Horner: double the bracket from the Cauchy bound until it
+    changes sign, then halve it to the width."""
+    p = [Fraction(c) for c in p]
+    while p[-1] == 0:
+        p.pop()
+    while p[0] == 0:
+        p = p[1:]
+    positive_at_0 = p[0] > 0
+    lo, hi = Fraction(0), max(Fraction(1), root_upper_bound(p))
+    while (_horner(p, hi) > 0) == positive_at_0:
+        hi *= 2
+    if _horner(p, hi) == 0:
+        return hi, hi, 0
+    steps = 0
+    while hi - lo > width:
+        steps += 1
+        mid = (lo + hi) / 2
+        fm = _horner(p, mid)
+        if fm == 0:
+            return mid, mid, steps
+        if (fm > 0) == positive_at_0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, steps
+
+
+def _same_as_reference(p, width=Fraction(1, 10**12)):
+    enc = unique_positive_root(p, width=width)
+    assert (enc.lo, enc.hi, enc.bisection_steps) == _reference_root(p, width)
+
+
+def test_root_isolation_matches_the_fraction_reference_on_the_catalog():
+    polys = {tuple(q["polynomial"]) for name in catalog_names()
+             for q in catalog_load(name).expected if "polynomial" in q}
+    assert {(-1, -1, 1), (-1, -1, 0, 1), (-2, -2, 0, 1)} <= polys
+    for p in polys:
+        if descartes_sign_changes(p) == 1:
+            _same_as_reference(p)
+            _same_as_reference(p, width=Fraction(3, 10**7))
+    # exact hits at a midpoint: z - 1 on [0, 2] at once, z - 3 on [0, 4]
+    # after two halvings
+    for p in ([-1, 1], [-3, 1]):
+        _same_as_reference(p)
+        enc = unique_positive_root(p)
+        assert enc.lo == enc.hi
+
+
+fractions = st.fractions(min_value=0, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zeros=st.integers(0, 2),
+       low=st.lists(fractions, min_size=1, max_size=4).filter(any),
+       high=st.lists(fractions, min_size=1, max_size=4).filter(
+           lambda h: h[-1] > 0),
+       flip=st.booleans(),
+       width=st.sampled_from([Fraction(1, 10**12), Fraction(1, 3),
+                              Fraction(5, 7 * 2**20)]))
+def test_root_isolation_matches_the_fraction_reference_on_random_polys(
+        zeros, low, high, flip, width):
+    # nonpositive low coefficients, then nonnegative high ones: one sign
+    # change, possibly behind zero coefficients (roots at 0)
+    p = [Fraction(0)] * zeros + [-c for c in low] + high
+    if flip:
+        p = [-c for c in p]
+    assert descartes_sign_changes(p) == 1
+    _same_as_reference(p, width)

@@ -1,11 +1,12 @@
 """Exhaustive Cayley-ball enumeration and growth-rate estimates.
 
 One breadth-first engine, `_levels`, closes the identity under right
-multiplication by a list of letters (inverses adjoined by default) and yields
-each sphere as an unordered `Sphere`, deduplicated exactly, so all counts are
-exact and every run is deterministic.  Ball tables, sphere streams, geodesic
-words, subgroup closures and generation checks are all consumers of it; none
-of their outputs depends on an order inside a sphere.  It runs on one thread.
+multiplication by a list of letters closed under inversion (the generators
+with their inverses adjoined) and yields each sphere as an unordered
+`Sphere`, deduplicated exactly, so all counts are exact and every run is
+deterministic.  Ball tables, sphere streams, geodesic words and generation
+checks are all consumers of it; none of their outputs depends on an order
+inside a sphere.  It runs on one thread.
 
 Inside the engine an element is one int, its normal form packed one
 syllable per base-2^w digit with the head lowest (`amalgam.encode_flat`).
@@ -33,15 +34,12 @@ So a prefix int is rebuilt about once every BLOCK syllables.  Sets are never
 mutated once built, so classes, spheres and levels share them.  Dedupe is
 exact set difference per (tail, pend, np, pb), the split being canonical
 and pb a function of the base, whatever the weights: against the previous
-two spheres when the letters are closed under inversion (every neighbour of
-sphere n lies in sphere n-1, n or n+1), against every earlier sphere for
-one-sided letters (subgroup closures, `include_inverses=False`).  Where
-psi(x) is the word length of x (one-syllable letters of a free product),
-psi(base) + psi(pend) + psi(tail) = n on sphere n, so no key of a new
-sphere is a key of an older one and no lookup runs.  An element reached
-under several states stays under each, since one of them is its true
-state, and is counted once.  The element budget counts elements the same
-way in both cases.
+two spheres, since the letters are closed under inversion (every neighbour
+of sphere n lies in sphere n-1, n or n+1).  Where psi(x) is the word length
+of x (one-syllable letters of a free product), psi(base) + psi(pend) +
+psi(tail) = n on sphere n, so no key of a new sphere is a key of an older
+one and no lookup runs.  An element reached under several states stays
+under each, since one of them is its true state, and is counted once.
 """
 from __future__ import annotations
 
@@ -119,15 +117,13 @@ class GrowthTable:
     compared: tuple[int, ...]
 
 
-def _named_letters(spec: AmalgamSpec, gens: GenSet,
-                   include_inverses: bool) -> list[tuple[str, NormalForm]]:
+def _named_letters(spec: AmalgamSpec, gens: GenSet) -> list[tuple[str, NormalForm]]:
     """(name, element) letters: the generators, then the inverses that are
     not already letters, named with a ^-1 suffix."""
     named: list[tuple[str, NormalForm]] = []
     seen = set()
     candidates = list(zip(gens.names, gens.elements))
-    if include_inverses:
-        candidates += [(n + "^-1", invert(spec, g)) for n, g in candidates]
+    candidates += [(n + "^-1", invert(spec, g)) for n, g in candidates]
     for name, g in candidates:
         if g.key() not in seen:
             seen.add(g.key())
@@ -285,7 +281,8 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             budget: int | None = None):
     """Yield the spheres of the Cayley graph of `letters` as `Sphere`s,
     starting with the radius-0 sphere {identity}: sphere n holds the right
-    products not seen at any smaller radius.
+    products not seen at any smaller radius.  ValueError unless the letters
+    are closed under inversion.
 
     An element is kept in classes (shortlex state, tail, pend, np, pb) ->
     set of bases; a class steps only by the letters `_shortlex_moves`
@@ -303,8 +300,9 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
     one = encode_flat(spec, identity_nf(spec))
     # closed under inversion: each letter times some letter is the identity
     # (a letter fits in a tail, and `_shortlex_moves` filled its row)
-    symmetric = all(any(t == one for t, _ in table[encode_flat(spec, l)])
-                    for l in letters)
+    if not all(any(t == one for t, _ in table[encode_flat(spec, l)])
+               for l in letters):
+        raise ValueError("letters are not closed under inversion")
     classes = {(0, one & mask, 0, 0, 0): {0}}
     sphere = Sphere({(one & mask, 0, 0, 0): [{0}]}, shift, w, psi, 1, 1, 0)
     older: dict[tuple[int, int, int, int], list[set[int]]] = {}
@@ -364,16 +362,11 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             for key, bases in loose.items():
                 nxt[key].append(bases)
             loose.clear()
-        # exact dedupe per (tail, pend, np, pb); an element reached under
-        # several states stays under each (one is its true state) and is
-        # counted once
-        if symmetric:
-            drop = (sphere.by_key, older)
-            older = sphere.by_key
-        else:
-            for key, sets in sphere.by_key.items():
-                older.setdefault(key, [set()])[0].update(*sets)
-            drop = (older,)
+        # exact dedupe per (tail, pend, np, pb) against the previous two
+        # spheres; an element reached under several states stays under each
+        # (one is its true state) and is counted once
+        drop = (sphere.by_key, older)
+        older = sphere.by_key
         classes = {}
         by_key: dict[tuple[int, int, int, int], list[set[int]]] = defaultdict(list)
         for key, sets in nxt.items():
@@ -399,11 +392,10 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
 
 
 def sphere_stream(spec: AmalgamSpec, gens: GenSet, *,
-                  include_inverses: bool = True,
                   budget: int = DEFAULT_BUDGET):
     """Yield successive sphere counts (starting with 1 for radius 0),
     stopping silently at the element budget or when a sphere is empty."""
-    letters = [g for _, g in _named_letters(spec, gens, include_inverses)]
+    letters = [g for _, g in _named_letters(spec, gens)]
     for sphere in _levels(spec, letters, budget):
         if not sphere:
             return
@@ -411,7 +403,6 @@ def sphere_stream(spec: AmalgamSpec, gens: GenSet, *,
 
 
 def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
-                    include_inverses: bool = True,
                     budget: int = DEFAULT_BUDGET) -> GrowthTable:
     """Exact sphere and ball counts up to radius nmax.
 
@@ -420,7 +411,7 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    letters = [g for _, g in _named_letters(spec, gens, include_inverses)]
+    letters = [g for _, g in _named_letters(spec, gens)]
     levels = _levels(spec, letters, budget)
     next(levels)
     sphere = [1]
@@ -482,15 +473,15 @@ def rate(spec: AmalgamSpec, gens: GenSet, *, nmax: int,
     return fit_rate(seq)
 
 
-def word_length(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
-                include_inverses: bool = True) -> int | None:
+def word_length(spec: AmalgamSpec, gens: GenSet, g: NormalForm,
+                nmax: int) -> int | None:
     """Exact word length of g, or None if g is outside the nmax-ball."""
-    res = shortest_word(spec, gens, g, nmax, include_inverses=include_inverses)
+    res = shortest_word(spec, gens, g, nmax)
     return None if res is None else res[0]
 
 
-def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
-                  include_inverses: bool = True) -> tuple[int, list[str]] | None:
+def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm,
+                  nmax: int) -> tuple[int, list[str]] | None:
     """(length, letter names) of the lex-least geodesic word for g (letters
     ordered as generators, then inverses), or None outside the nmax-ball.
 
@@ -498,7 +489,7 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm, nmax: int, *,
     """
     if is_identity(spec, g):
         return (0, [])
-    named = _named_letters(spec, gens, include_inverses)
+    named = _named_letters(spec, gens)
     target = encode_flat(spec, g)
     spheres = []
     for n, sphere in zip(range(nmax + 1), _levels(spec, [l for _, l in named])):

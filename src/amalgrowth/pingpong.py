@@ -32,7 +32,7 @@ from .amalgam import (
     SIDE_B,
     AmalgamSpec,
     NormalForm,
-    decode_flat,
+    identity_nf,
     invert,
     is_identity,
     multiply,
@@ -40,7 +40,6 @@ from .amalgam import (
     nf_to_json,
     syllables_from_json,
 )
-from .growth import _levels
 from .tree import (
     Classification,
     TreeVertex,
@@ -444,13 +443,25 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
 
 def _closure(spec: AmalgamSpec, gens: list[NormalForm],
              cap: int) -> list[NormalForm] | None:
-    """All elements of the generated subgroup, or None past the cap."""
-    elements: list[int] = []
-    for sphere in _levels(spec, gens):
-        elements += sphere
-        if len(elements) > cap:
+    """All elements of the generated subgroup, sorted by `NormalForm.key`,
+    or None once it has more than `cap`: a plain BFS over `multiply`.  Right
+    multiplication by the generators alone reaches the whole subgroup when
+    it is finite (each inverse is a positive power)."""
+    one = identity_nf(spec)
+    seen = {one.key(): one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = multiply(spec, x, g)
+                if y.key() not in seen:
+                    seen[y.key()] = y
+                    nxt.append(y)
+        if len(seen) > cap:
             return None
-    return sorted((decode_flat(spec, x) for x in elements), key=NormalForm.key)
+        frontier = nxt
+    return [seen[k] for k in sorted(seen)]
 
 
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],

@@ -4,8 +4,9 @@ All sequence and polynomial arithmetic is done over integers / rationals;
 floating point appears only in reported midpoints of root enclosures.
 Positive roots are isolated by Descartes' rule when it applies, by a Sturm
 chain otherwise, and refined by sign-preserving bisection with exact
-endpoint evaluation; on the Descartes path the signs are integer
-evaluations of the polynomial with its denominators cleared.
+endpoint evaluation.  On both paths every sign is an integer evaluation of
+a polynomial with its denominators cleared (`_eval_over`), at a numerator
+over the Cauchy bound's denominator times a power of 2.
 """
 from __future__ import annotations
 
@@ -95,20 +96,6 @@ def sturm_chain(p):
     return chain
 
 
-def _sturm_variations(chain, x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = poly_eval(q, x)
-        if v != 0:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_in(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] for a squarefree chain."""
-    return _sturm_variations(chain, lo) - _sturm_variations(chain, hi)
-
-
 def root_upper_bound(p) -> Fraction:
     """Cauchy bound: all real roots lie in [-B, B]."""
     p = poly_trim([Fraction(c) for c in p])
@@ -159,15 +146,21 @@ def _eval_over(q: list[int], num: int, den: int) -> int:
     return acc
 
 
+def _sturm_variations(chain: list[list[int]], num: int, den: int) -> int:
+    """Sign changes of the integer Sturm chain at num / den, zeros skipped;
+    for a squarefree chain, the variations at lo minus those at hi count
+    the distinct real roots in (lo, hi]."""
+    signs = [v > 0 for v in (_eval_over(q, num, den) for q in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def _bisect(q: list[int], hi: Fraction,
             width: Fraction) -> tuple[Fraction, Fraction, int]:
     """(lo, hi, halvings taken): a bracket of width <= width inside [0, hi]
-    on which the integer polynomial q changes sign, given q(0) != 0 and
-    q(hi) zero or of the other sign.  The ends are numerators over
+    on which the integer polynomial q changes sign, given q(0) and q(hi)
+    nonzero and of opposite signs.  The ends are numerators over
     hi.denominator * 2^halvings, so every sign is an integer evaluation."""
     a, b, den = 0, hi.numerator, hi.denominator
-    if _eval_over(q, b, den) == 0:
-        return hi, hi, 0
     positive_at_0 = q[0] > 0
     steps = 0
     # (b - a) / den > width
@@ -197,11 +190,9 @@ def unique_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure
             f"need exactly one coefficient sign change (got {changes})")
     while p[0] == 0:
         p = p[1:]  # roots at 0 are not positive
-    q = _integer_poly(p)
-    hi = max(Fraction(1), root_upper_bound(p))
-    while (_eval_over(q, hi.numerator, hi.denominator) > 0) == (q[0] > 0):
-        hi *= 2
-    lo, hi, steps = _bisect(q, hi, width)
+    # the Cauchy bound exceeds every root, so with one sign change q has
+    # there the sign of its leading coefficient, opposite to q(0)
+    lo, hi, steps = _bisect(_integer_poly(p), root_upper_bound(p), width)
     return RootEnclosure(lo, hi, bisection_steps=steps)
 
 
@@ -240,26 +231,33 @@ def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosur
     if changes == 1:
         return unique_positive_root(p, width=width)
     sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    lo = Fraction(0)
-    hi = root_upper_bound(sf)
-    total = count_roots_in(chain, lo, hi)
+    chain = [_integer_poly(q) for q in sturm_chain(sf)]
+    bound = root_upper_bound(sf)
+    # the bracket [a / den, b / den] and the chain's variations at its ends
+    a, b, den = 0, bound.numerator, bound.denominator
+    va, vb = _sturm_variations(chain, a, den), _sturm_variations(chain, b, den)
+    total = va - vb
     if total == 0:
         return None
     # keep the rightmost root, then shrink to an isolating, sign-changing
     # interval around it
     steps = 0
-    while count_roots_in(chain, lo, hi) > 1 or hi - lo > width:
+    # more than one root inside, or (b - a) / den > width
+    while va - vb > 1 or (b - a) * width.denominator > width.numerator * den:
         steps += 1
-        mid = (lo + hi) / 2
-        if poly_eval(sf, mid) == 0 and count_roots_in(chain, mid, hi) == 0:
-            return RootEnclosure(mid, mid, unique_positive=(total == 1),
+        a, b, den = 2 * a, 2 * b, 2 * den
+        mid = (a + b) // 2
+        vm = _sturm_variations(chain, mid, den)
+        if vm == vb and _eval_over(chain[0], mid, den) == 0:
+            return RootEnclosure(Fraction(mid, den), Fraction(mid, den),
+                                 unique_positive=(total == 1),
                                  bisection_steps=steps)
-        if count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
+        if vm > vb:
+            a, va = mid, vm
         else:
-            hi = mid
-    return RootEnclosure(lo, hi, unique_positive=(total == 1), bisection_steps=steps)
+            b, vb = mid, vm
+    return RootEnclosure(Fraction(a, den), Fraction(b, den),
+                         unique_positive=(total == 1), bisection_steps=steps)
 
 
 # ---------------------------------------------------------------------------

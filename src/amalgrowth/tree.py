@@ -295,11 +295,6 @@ def axis_segment(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVert
     return verts
 
 
-def on_axis(spec: AmalgamSpec, g: NormalForm, tau: int, v: TreeVertex) -> bool:
-    """Exact axis membership: v lies on the axis iff d(v, g.v) = tau."""
-    return displacement(spec, g, v) == tau
-
-
 @dataclass(frozen=True)
 class EllipticProductReport:
     applicable: bool
@@ -332,7 +327,8 @@ def elliptic_product_check(spec: AmalgamSpec, x: NormalForm, y: NormalForm,
     segment = geodesic(u, v)
     for w in segment:
         for img in (w, act(spec, x, w), act(spec, y, w)):
-            if not on_axis(spec, g, cls.tau, img):
+            # img lies on the axis of g iff d(img, g.img) = tau
+            if displacement(spec, g, img) != cls.tau:
                 return EllipticProductReport(
                     True, False, cls.tau, d, f"axis misses {img}")
     return EllipticProductReport(True, True, cls.tau, d,

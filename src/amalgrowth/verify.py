@@ -266,7 +266,7 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
     except GenSetError:
         return None
     # must generate: a small ball over the set has to reach every letter
-    step = [g for _, g in _named_letters(spec, gens, True)]
+    step = [g for _, g in _named_letters(spec, gens)]
     targets = {encode_flat(spec, g) for g in entry.alphabet.values()}
     seen = set()
     for sphere in itertools.islice(_levels(spec, step), 7):   # radius 0..6
@@ -422,7 +422,7 @@ def criterion_10(tmpdir: str | None = None) -> CriterionResult:
     for name in catalog_names():
         other = catalog_load(name)
         spec = other.spec
-        letters = [g for _, g in _named_letters(spec, other.default_genset, True)]
+        letters = [g for _, g in _named_letters(spec, other.default_genset)]
         got = list(itertools.islice(_levels(spec, letters), nmax + 1))
         if not _same_spheres(spec, got, _reference_spheres(spec, letters, nmax)):
             engine_diff.append(name)

@@ -244,6 +244,14 @@ def test_root_lengths_and_poly(capsys):
     report = _json_out(capsys)
     assert abs(report["root"]["mid"] - 1.3247179572447460) < 1e-9
     assert report["root"]["bisection_steps"] == 41
+    # (z - 1)(z - 3): the Sturm path, pinned from its Fraction version
+    assert cli.main(["root", "--poly", "3", "-4", "1"]) == 0
+    report = _json_out(capsys)
+    assert report["root"] == {
+        "lo": "6597069766655/2199023255552",
+        "hi": "26388279066625/8796093022208",
+        "mid": 2.9999999999998295, "width": "5/8796093022208",
+        "unique_positive": False, "bisection_steps": 43}
     assert cli.main(["root"]) == 1
 
 

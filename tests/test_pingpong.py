@@ -387,6 +387,12 @@ def test_replay_on_mutated_certificates(data):
     ("pgl2z", ["a", "c"], 6),
     ("gl2z", ["a", "b"], 8),
     ("c2*c3", ["a", "b"], None),
+    # gl2z's d is the same element as b; a repeated generator; the identity
+    # ("a a") as a generator, alone and beside another
+    ("gl2z", ["c", "d"], 12),
+    ("c2*c5", ["b", "b"], 5),
+    ("c2*c3", ["b", "a a"], 3),
+    ("c2*c3", ["a a"], 1),
 ])
 def test_closure_orders_and_cap(name, words, order):
     entry = catalog_load(name)

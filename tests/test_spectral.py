@@ -10,6 +10,8 @@ from amalgrowth.growth import enumerate_balls
 from amalgrowth.spectral import (
     Recurrence,
     WeightedAlphabet,
+    _eval_over,
+    _integer_poly,
     _solve_exact,
     count_avoiding,
     descartes_sign_changes,
@@ -53,6 +55,30 @@ def test_largest_positive_root_picks_largest():
     enc = largest_positive_root([3, -4, 1])
     assert abs(enc.mid - 3.0) < 1e-9
     assert largest_positive_root([1, 0, 1]) is None  # z^2 + 1
+
+
+@pytest.mark.parametrize("p, width, lo, hi, steps", [
+    # (z - 1)(z - 3), z^3 - 2z^2 + 2z - 1 = (z - 1)(z^2 - z + 1) and
+    # z^3 - 3z + 1: Descartes counts 2 sign changes, so the Sturm path runs
+    ([3, -4, 1], Fraction(1, 10**12),
+     Fraction(6597069766655, 2199023255552),
+     Fraction(26388279066625, 8796093022208), 43),
+    ([3, -4, 1], Fraction(1, 3), Fraction(45, 16), Fraction(25, 8), 4),
+    ([-1, 2, -2, 1], Fraction(1, 10**12),
+     Fraction(4398046511103, 4398046511104),
+     Fraction(2199023255553, 2199023255552), 42),
+    ([-1, 2, -2, 1], Fraction(5, 7 * 2**20),
+     Fraction(4194303, 4194304), Fraction(8388609, 8388608), 23),
+    ([1, -3, 0, 1], Fraction(1, 10**12),
+     Fraction(1684549545205, 1099511627776),
+     Fraction(842274772603, 549755813888), 42),
+    ([1, -3, 0, 1], Fraction(1, 3), Fraction(3, 2), Fraction(7, 4), 4),
+])
+def test_sturm_path_enclosures_pinned(p, width, lo, hi, steps):
+    # pinned from the Fraction-Horner Sturm path the integer one replaced
+    enc = largest_positive_root(p, width=width)
+    assert (enc.lo, enc.hi, enc.bisection_steps) == (lo, hi, steps)
+    assert enc.unique_positive == (p == [-1, 2, -2, 1])
 
 
 def test_root_enclosures_record_bisection_steps():
@@ -272,3 +298,25 @@ def test_root_isolation_matches_the_fraction_reference_on_random_polys(
         p = [-c for c in p]
     assert descartes_sign_changes(p) == 1
     _same_as_reference(p, width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low=st.lists(fractions, min_size=1, max_size=4).filter(lambda l: l[0]),
+       high=st.lists(fractions, min_size=1, max_size=4).filter(
+           lambda h: h[-1] > 0),
+       flip=st.booleans())
+def test_cauchy_bound_brackets_the_root_of_one_sign_change_polys(
+        low, high, flip):
+    # `unique_positive_root` bisects [0, B] at once: B >= 1 exceeds every
+    # root, so with one sign change q(B) is nonzero with the leading
+    # coefficient's sign, opposite to q(0)
+    p = [-c for c in low] + high
+    if flip:
+        p = [-c for c in p]
+    assert descartes_sign_changes(p) == 1
+    bound = root_upper_bound(p)
+    q = _integer_poly(p)
+    at_bound = _eval_over(q, bound.numerator, bound.denominator)
+    assert bound >= 1
+    assert at_bound != 0
+    assert (at_bound > 0) == (q[-1] > 0) != (q[0] > 0)

@@ -48,7 +48,6 @@ from .spectral import (
     largest_positive_root,
     lpv_bound,
     positive_root_from_lengths,
-    unique_positive_root,
 )
 from .tree import TreeVertex, axis_segment, classify, distance, fixed_set
 
@@ -100,6 +99,5 @@ __all__ = [
     "reduce_word",
     "replay",
     "shortest_word",
-    "unique_positive_root",
     "word_length",
 ]

@@ -21,6 +21,7 @@ from .catalog import (
     parse_word,
 )
 from .growth import (
+    DEFAULT_BUDGET,
     MIN_FIT_TERMS,
     ball_estimates,
     enumerate_balls,
@@ -37,7 +38,7 @@ from .spectral import (
     largest_positive_root,
     positive_root_from_lengths,
 )
-from .tree import VerdictError, axis_segment, classify, fixed_set
+from .tree import VerdictError, axis_segment, classify, fixed_set, vertex_json
 from .verify import run_all
 
 EXIT_OK = 0
@@ -90,8 +91,11 @@ def _parse_elements(entry, words: list[str]):
 
 def cmd_growth(args) -> int:
     entry = _load(args.spec)
-    table = enumerate_balls(entry.spec, entry.default_genset, args.nmax,
-                            budget=args.budget)
+    try:
+        table = enumerate_balls(entry.spec, entry.default_genset, args.nmax,
+                                budget=args.budget)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     csv_text = growth_table_csv(table)
     report = _provenance(entry, args)
     report["sphere"] = list(table.sphere)
@@ -148,8 +152,7 @@ def cmd_classify(args) -> int:
     report["element"] = describe_nf(entry.spec, g)
     report["verdict"] = cls.verdict
     report["tau"] = cls.tau
-    report["witness"] = {"side": cls.witness.side,
-                         "key": [list(s) for s in cls.witness.key]}
+    report["witness"] = vertex_json(cls.witness)
     report["radius"] = radius
     report["cross_checked"] = cls.cross_checked
     _emit(report, args.out)
@@ -207,8 +210,7 @@ def cmd_fixedset(args) -> int:
     report = _provenance(entry, args)
     report["word"] = args.word
     report["radius"] = radius
-    report["fixed"] = [{"side": v.side, "key": [list(s) for s in v.key]}
-                       for v in verts]
+    report["fixed"] = [vertex_json(v) for v in verts]
     _emit(report, args.out)
     return EXIT_OK
 
@@ -225,8 +227,7 @@ def cmd_axis(args) -> int:
     report["word"] = args.word
     report["radius"] = radius
     report["tau"] = classify(entry.spec, g).tau
-    report["axis"] = [{"side": v.side, "key": [list(s) for s in v.key]}
-                      for v in verts]
+    report["axis"] = [vertex_json(v) for v in verts]
     _emit(report, args.out)
     return EXIT_OK
 
@@ -269,7 +270,10 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_root(args) -> int:
     if args.lengths:
-        enc = positive_root_from_lengths(args.lengths)
+        try:
+            enc = positive_root_from_lengths(args.lengths)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         desc = {"lengths": args.lengths}
     elif args.poly:
         enc = largest_positive_root(args.poly)
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="enumerate Cayley balls exactly")
     common(p)
     p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_growth)
 

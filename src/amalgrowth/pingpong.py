@@ -53,6 +53,7 @@ from .tree import (
     geodesic,
     nearest_pair,
     tree_distance,
+    vertex_json,
 )
 
 SUBGROUP_CAP = 512
@@ -99,12 +100,8 @@ def half_tree_subset(h1: HalfTree, h2: HalfTree) -> bool:
     return h2.contains(h1.w) and not h1.contains(h2.u)
 
 
-def _vertex_json(v: TreeVertex) -> dict:
-    return {"side": v.side, "key": [list(s) for s in v.key]}
-
-
 def _vertex_from_json(spec: AmalgamSpec, d: dict) -> TreeVertex:
-    """The vertex stored by `_vertex_json`; ValueError unless its key is an
+    """The vertex stored by `vertex_json`; ValueError unless its key is an
     alternating syllable string whose last syllable is on the other side."""
     key = syllables_from_json(spec, d["key"])
     side = d["side"]
@@ -143,7 +140,7 @@ def _check(kind: str, **fields) -> dict:
         if isinstance(value, NormalForm):
             value = nf_to_json(value)
         elif isinstance(value, TreeVertex):
-            value = _vertex_json(value)
+            value = vertex_json(value)
         out[name] = value
     return out
 
@@ -328,7 +325,7 @@ def _certificate(spec: AmalgamSpec, kind: str, radius: int,
                  diagnostics: list[str] | None) -> PingPongCertificate | None:
     """The certificate whose checks are its shape's obligations followed by
     the auxiliary checks, or None when one of them fails."""
-    sets_json = [{"label": label, "u": _vertex_json(h.u), "w": _vertex_json(h.w)}
+    sets_json = [{"label": label, "u": vertex_json(h.u), "w": vertex_json(h.w)}
                  for label, h in sets]
     halves = [h for _, h in sets]
     checks = _obligations(spec, kind, elements, sets_json, data)

@@ -2,11 +2,12 @@
 
 All sequence and polynomial arithmetic is done over integers / rationals;
 floating point appears only in reported midpoints of root enclosures.
-Positive roots are isolated by Descartes' rule when it applies, by a Sturm
-chain otherwise, and refined by sign-preserving bisection with exact
-endpoint evaluation.  On both paths every sign is an integer evaluation of
-a polynomial with its denominators cleared (`_eval_over`), at a numerator
-over the Cauchy bound's denominator times a power of 2.
+Positive roots are isolated by one halving loop driven by a chain of
+integer polynomials: p alone, with its sign at infinity, when Descartes'
+rule certifies a unique positive root, and the Sturm chain of p's squarefree
+part otherwise.  Every sign is an integer evaluation of a chain member
+(`_eval_over`) at a numerator over the Cauchy bound's denominator times a
+power of 2.  Recurrences are fitted by one fraction-free linear solver.
 """
 from __future__ import annotations
 
@@ -124,10 +125,6 @@ class RootEnclosure:
         return self.lo <= Fraction(x) <= self.hi
 
 
-class RootIsolationError(ValueError):
-    pass
-
-
 def _integer_poly(p) -> list[int]:
     """p scaled by the lcm of its coefficient denominators: integer
     coefficients with p's sign at every point."""
@@ -146,54 +143,39 @@ def _eval_over(q: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _sturm_variations(chain: list[list[int]], num: int, den: int) -> int:
-    """Sign changes of the integer Sturm chain at num / den, zeros skipped;
-    for a squarefree chain, the variations at lo minus those at hi count
-    the distinct real roots in (lo, hi]."""
-    signs = [v > 0 for v in (_eval_over(q, num, den) for q in chain) if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _refine(chain: list[list[int]], bound: Fraction,
+            width: Fraction) -> RootEnclosure | None:
+    """Enclosure of the largest root in (0, bound] of chain[0], or None.
 
-
-def _bisect(q: list[int], hi: Fraction,
-            width: Fraction) -> tuple[Fraction, Fraction, int]:
-    """(lo, hi, halvings taken): a bracket of width <= width inside [0, hi]
-    on which the integer polynomial q changes sign, given q(0) and q(hi)
-    nonzero and of opposite signs.  The ends are numerators over
-    hi.denominator * 2^halvings, so every sign is an integer evaluation."""
-    a, b, den = 0, hi.numerator, hi.denominator
-    positive_at_0 = q[0] > 0
+    For 0 <= x < y <= bound, the integer chain's sign variations (zeros
+    skipped) at x minus those at y must count chain[0]'s distinct roots in
+    (x, y].  [0, bound] is halved, keeping the rightmost root, until it
+    holds one root and is at most width wide; the ends are numerators over
+    bound.denominator * 2^halvings, so every sign is an integer
+    evaluation."""
+    a, b, den = 0, bound.numerator, bound.denominator
+    va, vb = (descartes_sign_changes([_eval_over(q, x, den) for q in chain])
+              for x in (a, b))
+    total = va - vb
+    if total == 0:
+        return None
     steps = 0
-    # (b - a) / den > width
-    while (b - a) * width.denominator > width.numerator * den:
+    # more than one root inside, or (b - a) / den > width
+    while va - vb > 1 or (b - a) * width.denominator > width.numerator * den:
         steps += 1
         a, b, den = 2 * a, 2 * b, 2 * den
         mid = (a + b) // 2
-        fm = _eval_over(q, mid, den)
-        if fm == 0:
-            return Fraction(mid, den), Fraction(mid, den), steps
-        if (fm > 0) == positive_at_0:
-            a = mid
+        values = [_eval_over(q, mid, den) for q in chain]
+        vm = descartes_sign_changes(values)
+        if vm == vb and values[0] == 0:
+            a = b = mid
+            break
+        if vm > vb:
+            a, va = mid, vm
         else:
-            b = mid
-    return Fraction(a, den), Fraction(b, den), steps
-
-
-def unique_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
-    """Enclosure of the unique positive real root of p, uniqueness being
-    certified by a single Descartes sign change."""
-    p = poly_trim([Fraction(c) for c in p])
-    if not p or len(p) == 1:
-        raise RootIsolationError("constant polynomial has no positive root")
-    changes = descartes_sign_changes(p)
-    if changes != 1:
-        raise RootIsolationError(
-            f"need exactly one coefficient sign change (got {changes})")
-    while p[0] == 0:
-        p = p[1:]  # roots at 0 are not positive
-    # the Cauchy bound exceeds every root, so with one sign change q has
-    # there the sign of its leading coefficient, opposite to q(0)
-    lo, hi, steps = _bisect(_integer_poly(p), root_upper_bound(p), width)
-    return RootEnclosure(lo, hi, bisection_steps=steps)
+            b, vb = mid, vm
+    return RootEnclosure(Fraction(a, den), Fraction(b, den),
+                         unique_positive=(total == 1), bisection_steps=steps)
 
 
 def positive_root_from_lengths(lengths, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure:
@@ -206,58 +188,37 @@ def positive_root_from_lengths(lengths, *, width: Fraction = DEFAULT_WIDTH) -> R
     lengths = list(lengths)
     if not lengths or any(l < 1 or l != int(l) for l in lengths):
         raise ValueError("lengths must be positive integers")
-    m = max(lengths)
-    coeffs = [Fraction(0)] * (m + 1)
-    coeffs[m] = Fraction(1)
-    for l in lengths:
-        coeffs[m - l] -= 1
     if len(lengths) == 1:
         return RootEnclosure(Fraction(1), Fraction(1), degenerate=True)
-    assert descartes_sign_changes(coeffs) == 1
-    return unique_positive_root(coeffs, width=width)
+    m = max(lengths)
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
+    for l in lengths:
+        coeffs[m - l] -= 1
+    return largest_positive_root(coeffs, width=width)
 
 
 def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosure | None:
-    """Enclosure of the largest positive real root of p, or None.
+    """Enclosure of the largest positive real root of p, or None; its
+    unique_positive says whether that root is p's only positive one.
 
-    Falls back to Sturm-chain isolation when Descartes does not certify
-    uniqueness; reports via unique_positive whether the positive root is the
-    only one.
+    With one Descartes sign change, q = p with its roots at 0 divided out
+    has exactly one positive root, and [q, sign of q's leading coefficient]
+    is a chain for `_refine` on [0, Cauchy bound of q]: one variation left
+    of the root, none at or right of it.  Otherwise the chain is the Sturm
+    chain of p's squarefree part, on its Cauchy bound.
     """
     p = poly_trim([Fraction(c) for c in p])
     if len(p) <= 1:
         return None
-    changes = descartes_sign_changes(p)
-    if changes == 1:
-        return unique_positive_root(p, width=width)
+    if descartes_sign_changes(p) == 1:
+        while p[0] == 0:
+            p = p[1:]
+        q = _integer_poly(p)
+        return _refine([q, [1 if q[-1] > 0 else -1]], root_upper_bound(p), width)
     sf = squarefree_part(p)
-    chain = [_integer_poly(q) for q in sturm_chain(sf)]
-    bound = root_upper_bound(sf)
-    # the bracket [a / den, b / den] and the chain's variations at its ends
-    a, b, den = 0, bound.numerator, bound.denominator
-    va, vb = _sturm_variations(chain, a, den), _sturm_variations(chain, b, den)
-    total = va - vb
-    if total == 0:
-        return None
-    # keep the rightmost root, then shrink to an isolating, sign-changing
-    # interval around it
-    steps = 0
-    # more than one root inside, or (b - a) / den > width
-    while va - vb > 1 or (b - a) * width.denominator > width.numerator * den:
-        steps += 1
-        a, b, den = 2 * a, 2 * b, 2 * den
-        mid = (a + b) // 2
-        vm = _sturm_variations(chain, mid, den)
-        if vm == vb and _eval_over(chain[0], mid, den) == 0:
-            return RootEnclosure(Fraction(mid, den), Fraction(mid, den),
-                                 unique_positive=(total == 1),
-                                 bisection_steps=steps)
-        if vm > vb:
-            a, va = mid, vm
-        else:
-            b, vb = mid, vm
-    return RootEnclosure(Fraction(a, den), Fraction(b, den),
-                         unique_positive=(total == 1), bisection_steps=steps)
+    return _refine([_integer_poly(q) for q in sturm_chain(sf)],
+                   root_upper_bound(sf), width)
 
 
 # ---------------------------------------------------------------------------
@@ -287,60 +248,40 @@ class Recurrence:
         return seq[:n]
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Any exact solution of rows*x = rhs, or None if inconsistent."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+def _solve(rows: list[list[int]],
+           rhs: list[int]) -> tuple[list[Fraction] | None, int]:
+    """(x, rank) for the integer system rows*x = rhs: x solves it with every
+    non-pivot unknown 0, or is None if the system is inconsistent.
+
+    Fraction-free (Bareiss) elimination to row echelon form, pivot columns
+    taken left to right, so every division before the back substitution is
+    exact in integers."""
+    m = [row + [b] for row, b in zip(rows, rhs)]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        x[c] = row[-1]
-    return x
-
-
-def _solve_square(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """The unique solution of the square integer system rows*x = rhs, or None
-    if it is singular; fraction-free (Bareiss) elimination, so every
-    division before the back substitution is exact in integers."""
-    m = [row + [b] for row, b in zip(rows, rhs)]
-    n = len(m)
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        top = m[c]
+        top = m[r]
         p = top[c]
-        for i in range(c + 1, n):
+        for i in range(r + 1, len(m)):
             f = m[i][c]
             m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
         prev = p
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        row = m[i]
-        x[i] = (row[n] - sum((row[j] * x[j] for j in range(i + 1, n)),
-                             Fraction(0))) / row[i]
-    return x
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    rank = len(pivots)
+    if any(row[-1] for row in m[rank:]):
+        return None, rank
+    x = [Fraction(0)] * len(rows[0])
+    for row, c in reversed(list(zip(m, pivots))):
+        x[c] = (row[-1] - sum((row[j] * x[j] for j in range(c + 1, len(x))),
+                              Fraction(0))) / row[c]
+    return x, rank
 
 
 def fit_recurrence(seq, *, guard: int = 5) -> Recurrence | None:
@@ -357,13 +298,11 @@ def fit_recurrence(seq, *, guard: int = 5) -> Recurrence | None:
     n = len(seq)
     train_end = n - guard
     for d in range(1, train_end // 2 + 1):
-        sol = _solve_square([seq[k - d:k][::-1] for k in range(d, 2 * d)],
-                            seq[d:2 * d])
-        if sol is None:
-            sol = _solve_exact(
-                [[Fraction(seq[k - i]) for i in range(1, d + 1)]
-                 for k in range(d, train_end)],
-                [Fraction(seq[k]) for k in range(d, train_end)])
+        sol, rank = _solve([seq[k - d:k][::-1] for k in range(d, 2 * d)],
+                           seq[d:2 * d])
+        if rank < d:
+            sol, _ = _solve([seq[k - d:k][::-1] for k in range(d, train_end)],
+                            seq[d:train_end])
             if sol is None:
                 continue
         den = math.lcm(*(c.denominator for c in sol))

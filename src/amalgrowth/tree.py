@@ -36,6 +36,11 @@ class TreeVertex:
         return (len(self.key), self.key, self.side)
 
 
+def vertex_json(v: TreeVertex) -> dict:
+    """v as JSON: its side and its key's syllables as lists."""
+    return {"side": v.side, "key": [list(s) for s in v.key]}
+
+
 def base_vertex(side: int) -> TreeVertex:
     return TreeVertex(side, ())
 

@@ -80,9 +80,9 @@ def _sign_change_contains(poly, enc: RootEnclosure) -> bool:
     return lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
 
 
-def criterion_1(nmax: int = 25) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     entry = catalog_load("c2*c3")
-    table = enumerate_balls(entry.spec, entry.default_genset, nmax)
+    table = enumerate_balls(entry.spec, entry.default_genset, 25)
     fit = fit_rate(table.sphere)
     if fit is None:
         return CriterionResult("criterion-1", False, "no recurrence fit")
@@ -96,7 +96,8 @@ def criterion_1(nmax: int = 25) -> CriterionResult:
         f"(want (-1, -1, 1)), root {fit}")
 
 
-def criterion_2(nmax: int = 20) -> CriterionResult:
+def criterion_2() -> CriterionResult:
+    nmax = 20
     entry = catalog_load("pgl2z")
     table = enumerate_balls(entry.spec, entry.default_genset, nmax)
     counts = plastic_enumerate(nmax)
@@ -136,9 +137,9 @@ def criterion_3() -> CriterionResult:
     return CriterionResult("criterion-3", ok, "; ".join(parts))
 
 
-def criterion_4(nmax: int = 31) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     alpha = WeightedAlphabet((("x", 1), ("y", 1), ("t", 1)), (("x", "y"),))
-    w = count_avoiding(alpha, nmax)
+    w = count_avoiding(alpha, 31)
     rec_ok = all(w[n + 1] == 3 * w[n] - w[n - 1] for n in range(2, 31))
     fit = fit_rate(w[1:])
     enc = fit.enclosure if fit else None
@@ -159,7 +160,8 @@ def _poly_mul(p, q):
     return out
 
 
-def criterion_5(nmax: int = 30) -> CriterionResult:
+def criterion_5() -> CriterionResult:
+    nmax = 30
     quad = WeightedAlphabet((("p", 2), ("q", 2), ("r", 3), ("s", 3)))
     w4 = count_avoiding(quad, nmax)
     rec4_ok = all(w4[n] == 2 * w4[n - 2] + 2 * w4[n - 3]
@@ -192,8 +194,8 @@ def _random_element(entry: CatalogEntry, rng: random.Random,
             return acc
 
 
-def criterion_6(seed: int = 0, samples: int = 200,
-                pairs: int = 200) -> CriterionResult:
+def criterion_6(seed: int = 0) -> CriterionResult:
+    samples = pairs = 200
     names = ("c2*c3", "c2*c4", "pgl2z")
     rng = random.Random(seed)
     agree = collinear = even = 0
@@ -276,22 +278,22 @@ def _random_genset(entry: CatalogEntry, rng: random.Random) -> GenSet | None:
     return None
 
 
-def criterion_7(seed: int = 7, gensets: int = 10, nmax: int = 30,
-                budget: int = 800_000) -> CriterionResult:
+def criterion_7(seed: int = 7) -> CriterionResult:
     names = ("c2*c4", "c2*c5", "c2*c2xc2")
+    nmax = 30
     failures = []
     total = loose = 0
     for name in names:
         entry = catalog_load(name)
         rng = random.Random(seed)
         made = 0
-        while made < gensets:
+        while made < 10:
             gens = _random_genset(entry, rng)
             if gens is None:
                 continue
             made += 1
             total += 1
-            fit = rate(entry.spec, gens, nmax=nmax, budget=budget)
+            fit = rate(entry.spec, gens, nmax=nmax, budget=800_000)
             if fit is None:
                 failures.append(f"{name}#{made}: no fit to radius {nmax}")
                 continue
@@ -307,7 +309,7 @@ def criterion_7(seed: int = 7, gensets: int = 10, nmax: int = 30,
                                           "; " + "; ".join(failures)))
 
 
-def criterion_8(tmpdir: str | None = None) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     import json
     import os
     import tempfile
@@ -315,15 +317,15 @@ def criterion_8(tmpdir: str | None = None) -> CriterionResult:
     from . import cli
     from .pingpong import PingPongCertificate, replay
 
-    workdir = tmpdir or tempfile.mkdtemp(prefix="certify-")
-    out = os.path.join(workdir, "certificate.json")
-    code = cli.main(["certify", "pgl2z", "--mode", "monoid",
-                     "--elements", "b c", "a b c", "--out", out])
-    if code != 0:
-        return CriterionResult("criterion-8", False,
-                               f"certify exited with {code}")
-    with open(out) as fh:
-        payload = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="certify-") as workdir:
+        out = os.path.join(workdir, "certificate.json")
+        code = cli.main(["certify", "pgl2z", "--mode", "monoid",
+                         "--elements", "b c", "a b c", "--out", out])
+        if code != 0:
+            return CriterionResult("criterion-8", False,
+                                   f"certify exited with {code}")
+        with open(out) as fh:
+            payload = json.load(fh)
     cert = PingPongCertificate.from_json(payload["certificate"])
     entry = catalog_load("pgl2z")
     lengths = tuple(payload["report"]["lengths"])
@@ -395,7 +397,7 @@ def _same_spheres(spec: AmalgamSpec, got: list, ref: list[list[NormalForm]]) -> 
     return True
 
 
-def criterion_10(tmpdir: str | None = None) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     import os
     import tempfile
 
@@ -403,14 +405,14 @@ def criterion_10(tmpdir: str | None = None) -> CriterionResult:
 
     entry = catalog_load("pgl2z")
     named = list(entry.default_genset.alphabet().items())
-    workdir = tmpdir or tempfile.mkdtemp(prefix="growth-")
-    out = os.path.join(workdir, "growth.csv")
-    code = cli.main(["growth", "pgl2z", "--nmax", "14", "--out", out])
-    if code != 0:
-        return CriterionResult("criterion-10", False,
-                               f"growth exited with {code}")
-    with open(out, "rb") as fh:
-        cli_bytes = fh.read()
+    with tempfile.TemporaryDirectory(prefix="growth-") as workdir:
+        out = os.path.join(workdir, "growth.csv")
+        code = cli.main(["growth", "pgl2z", "--nmax", "14", "--out", out])
+        if code != 0:
+            return CriterionResult("criterion-10", False,
+                                   f"growth exited with {code}")
+        with open(out, "rb") as fh:
+            cli_bytes = fh.read()
     orders = list(itertools.permutations(named))
     outs = {growth_table_csv(enumerate_balls(
                 entry.spec, make_genset(entry.spec, list(order)), 14)).encode()

@@ -1,6 +1,8 @@
 """Acceptance suite: each test runs one end-to-end criterion, prints a single
 [PASS]/[FAIL] line with the checked quantities and tolerances, and asserts the
 verdict.  Run with `pytest -s tests/test_acceptance.py` to see the lines."""
+import tempfile
+
 from amalgrowth import verify
 
 
@@ -68,3 +70,11 @@ def test_criterion_10_deterministic_enumeration():
     # and for every catalog entry the BFS engine's spheres to n=10 equal a
     # plain multiply BFS's as sets, each element yielded once
     _run(verify.criterion_10)
+
+
+def test_criteria_08_and_10_leave_no_temp_directory(tmp_path, monkeypatch):
+    # both write their CLI output under tempfile.gettempdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    for fn in (verify.criterion_8, verify.criterion_10):
+        assert fn().passed
+    assert list(tmp_path.iterdir()) == []

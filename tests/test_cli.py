@@ -255,6 +255,17 @@ def test_root_lengths_and_poly(capsys):
     assert cli.main(["root"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["root", "--lengths", "0"],
+    ["root", "--lengths", "2", "-1"],
+    ["growth", "c2*c3", "--nmax", "-1"],
+])
+def test_invalid_input_is_an_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -12,7 +12,7 @@ from amalgrowth.spectral import (
     WeightedAlphabet,
     _eval_over,
     _integer_poly,
-    _solve_exact,
+    _solve,
     count_avoiding,
     descartes_sign_changes,
     dominant_root,
@@ -22,21 +22,20 @@ from amalgrowth.spectral import (
     lpv_bound,
     positive_root_from_lengths,
     root_upper_bound,
-    unique_positive_root,
 )
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
 
-def test_unique_positive_root_golden():
-    enc = unique_positive_root([-1, -1, 1])  # z^2 - z - 1
+def test_largest_positive_root_golden():
+    enc = largest_positive_root([-1, -1, 1])  # z^2 - z - 1
     assert enc.unique_positive
     assert abs(enc.mid - GOLDEN) < 1e-9
     assert enc.lo < Fraction(GOLDEN).limit_denominator(10**15) < enc.hi
 
 
-def test_unique_positive_root_exact_hit():
-    enc = unique_positive_root([-4, 0, 1])  # z^2 - 4
+def test_largest_positive_root_exact_hit():
+    enc = largest_positive_root([-4, 0, 1])  # z^2 - 4
     assert enc.contains(Fraction(2))
     assert abs(enc.mid - 2.0) < 1e-9
 
@@ -73,12 +72,33 @@ def test_largest_positive_root_picks_largest():
      Fraction(1684549545205, 1099511627776),
      Fraction(842274772603, 549755813888), 42),
     ([1, -3, 0, 1], Fraction(1, 3), Fraction(3, 2), Fraction(7, 4), 4),
+    # (z - 1)(z^2 - 3): the second midpoint is the smaller root 1, which
+    # must not end the search for sqrt(3)
+    ([3, -3, -1, 1], Fraction(1, 10**12),
+     Fraction(476102500705, 274877906944),
+     Fraction(1904410002821, 1099511627776), 42),
 ])
 def test_sturm_path_enclosures_pinned(p, width, lo, hi, steps):
     # pinned from the Fraction-Horner Sturm path the integer one replaced
     enc = largest_positive_root(p, width=width)
     assert (enc.lo, enc.hi, enc.bisection_steps) == (lo, hi, steps)
     assert enc.unique_positive == (p == [-1, 2, -2, 1])
+
+
+@pytest.mark.parametrize("p, lo, hi, steps", [
+    # (z + 1)^2 (z - 2): one sign change, so the bracket is [0, 4] from the
+    # Cauchy bound of p itself, not [0, 3] from its squarefree part, and its
+    # first midpoint is the root
+    ([-2, -3, 0, 1], Fraction(2), Fraction(2), 1),
+    ([0, 0, -2, -3, 0, 1], Fraction(2), Fraction(2), 1),
+    # z (z^2 - z - 1): the root at 0 divided out, [0, 2] halved 41 times
+    ([0, -1, -1, 1], Fraction(1779047184767, 1099511627776),
+     Fraction(13898806131, 8589934592), 41),
+])
+def test_descartes_path_enclosures_pinned(p, lo, hi, steps):
+    enc = largest_positive_root(p)
+    assert (enc.lo, enc.hi, enc.bisection_steps) == (lo, hi, steps)
+    assert enc.unique_positive and not enc.degenerate
 
 
 def test_root_enclosures_record_bisection_steps():
@@ -130,6 +150,65 @@ def test_fit_requires_guard_terms():
                           guard=3) is None
 
 
+def _solve_exact(rows, rhs):
+    """(x, pivots) by Fraction Gauss-Jordan elimination: x solves
+    rows*x = rhs with every non-pivot unknown 0, or is None if the system is
+    inconsistent; pivots counts the pivot columns."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [v / pv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    if any(m[i][-1] != 0 for i in range(r, len(m))):
+        return None, len(pivots)
+    x = [Fraction(0)] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = row[-1]
+    return x, len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), nrows=st.integers(1, 6), ncols=st.integers(1, 6),
+       shape=st.sampled_from(["random", "zero-column", "repeated-column",
+                              "inconsistent"]))
+def test_solve_matches_the_fraction_reference(data, nrows, ncols, shape):
+    ints = st.integers(-4, 4)
+    rows = data.draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    rhs = data.draw(st.lists(ints, min_size=nrows, max_size=nrows))
+    c = data.draw(st.integers(0, ncols - 1))
+    if shape == "zero-column":
+        for row in rows:
+            row[c] = 0
+    elif shape == "repeated-column":
+        src = data.draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[c] = row[src]
+    elif shape == "inconsistent" and nrows >= 2:
+        # the last equation repeats the first with another right-hand side
+        rows[-1] = rows[0][:]
+        rhs[-1] = rhs[0] + data.draw(st.sampled_from([-1, 1]))
+    x, rank = _solve(rows, rhs)
+    assert (x, rank) == _solve_exact(rows, rhs)
+    if x is not None:
+        assert all(sum(a * v for a, v in zip(row, x)) == b
+                   for row, b in zip(rows, rhs))
+
+
 def _reference_fit(seq, guard):
     """(order, coefficients, initial) of the plain fit: for each order d in
     turn, any exact solution of all the training equations that reproduces
@@ -138,7 +217,7 @@ def _reference_fit(seq, guard):
     for d in range(1, (n - guard) // 2 + 1):
         rows = [[Fraction(seq[k - i]) for i in range(1, d + 1)]
                 for k in range(d, n - guard)]
-        sol = _solve_exact(rows, [Fraction(seq[k]) for k in range(d, n - guard)])
+        sol, _ = _solve_exact(rows, [Fraction(seq[k]) for k in range(d, n - guard)])
         if sol is not None and all(
                 sum(sol[i - 1] * seq[k - i] for i in range(1, d + 1)) == seq[k]
                 for k in range(d, n)):
@@ -217,7 +296,7 @@ def test_lpv_bound_values():
 
 
 def test_enclosure_width_request():
-    enc = unique_positive_root([-1, -1, 1], width=Fraction(1, 10**15))
+    enc = largest_positive_root([-1, -1, 1], width=Fraction(1, 10**15))
     assert enc.width <= Fraction(1, 10**15) or enc.degenerate
 
 
@@ -229,9 +308,10 @@ def _horner(p, x):
 
 
 def _reference_root(p, width):
-    """(lo, hi, steps) of `unique_positive_root`, with every sign taken by
-    Fraction Horner: double the bracket from the Cauchy bound until it
-    changes sign, then halve it to the width."""
+    """(lo, hi, steps) of `largest_positive_root` on a polynomial with one
+    sign change, with every sign taken by Fraction Horner: double the
+    bracket from the Cauchy bound until it changes sign, then halve it to
+    the width."""
     p = [Fraction(c) for c in p]
     while p[-1] == 0:
         p.pop()
@@ -258,7 +338,7 @@ def _reference_root(p, width):
 
 
 def _same_as_reference(p, width=Fraction(1, 10**12)):
-    enc = unique_positive_root(p, width=width)
+    enc = largest_positive_root(p, width=width)
     assert (enc.lo, enc.hi, enc.bisection_steps) == _reference_root(p, width)
 
 
@@ -274,7 +354,7 @@ def test_root_isolation_matches_the_fraction_reference_on_the_catalog():
     # after two halvings
     for p in ([-1, 1], [-3, 1]):
         _same_as_reference(p)
-        enc = unique_positive_root(p)
+        enc = largest_positive_root(p)
         assert enc.lo == enc.hi
 
 
@@ -307,9 +387,9 @@ def test_root_isolation_matches_the_fraction_reference_on_random_polys(
        flip=st.booleans())
 def test_cauchy_bound_brackets_the_root_of_one_sign_change_polys(
         low, high, flip):
-    # `unique_positive_root` bisects [0, B] at once: B >= 1 exceeds every
-    # root, so with one sign change q(B) is nonzero with the leading
-    # coefficient's sign, opposite to q(0)
+    # the Descartes path of `largest_positive_root` bisects [0, B] at once:
+    # B >= 1 exceeds every root, so with one sign change q(B) is nonzero
+    # with the leading coefficient's sign, opposite to q(0)
     p = [-c for c in low] + high
     if flip:
         p = [-c for c in p]

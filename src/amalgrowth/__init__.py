@@ -28,7 +28,6 @@ from .growth import (
     make_genset,
     rate,
     shortest_word,
-    word_length,
 )
 from .pingpong import (
     PingPongCertificate,
@@ -49,7 +48,7 @@ from .spectral import (
     lpv_bound,
     positive_root_from_lengths,
 )
-from .tree import TreeVertex, axis_segment, classify, distance, fixed_set
+from .tree import TreeVertex, axis_segment, classify, fixed_set
 
 __all__ = [
     "AmalgamSpec",
@@ -77,7 +76,6 @@ __all__ = [
     "cyclic_reduce",
     "dihedral",
     "direct_product",
-    "distance",
     "dominant_root",
     "enumerate_balls",
     "fit_rate",
@@ -99,5 +97,4 @@ __all__ = [
     "reduce_word",
     "replay",
     "shortest_word",
-    "word_length",
 ]

@@ -89,8 +89,18 @@ def _parse_elements(entry, words: list[str]):
                        + " ".join(entry.alphabet)) from exc
 
 
+def _radius(args, default: int | None) -> int | None:
+    if args.radius is None:
+        return default
+    if args.radius < 0:
+        raise CliError("--radius must be >= 0")
+    return args.radius
+
+
 def cmd_growth(args) -> int:
     entry = _load(args.spec)
+    if args.budget < 0:
+        raise CliError("--budget must be >= 0")
     try:
         table = enumerate_balls(entry.spec, entry.default_genset, args.nmax,
                                 budget=args.budget)
@@ -145,7 +155,7 @@ def cmd_growth(args) -> int:
 def cmd_classify(args) -> int:
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = args.radius if args.radius is not None else 2 * len(g.syllables)
+    radius = _radius(args, 2 * len(g.syllables))
     cls = classify(entry.spec, g, radius=radius)
     report = _provenance(entry, args)
     report["word"] = args.word
@@ -164,14 +174,15 @@ def cmd_certify(args) -> int:
     report = _provenance(entry, args)
     diagnostics: list[str] = []
     report["search"] = stats = {}
+    radius = _radius(args, None)
     if args.mode == "monoid":
         elements = _parse_elements(entry, args.elements or [])
-        cert = certify_free_monoid(entry.spec, elements, radius=args.radius,
+        cert = certify_free_monoid(entry.spec, elements, radius=radius,
                                    diagnostics=diagnostics, stats=stats)
     else:
         left = _parse_elements(entry, args.left or [])
         right = _parse_elements(entry, args.right or [])
-        cert = certify_free_split(entry.spec, left, right, radius=args.radius,
+        cert = certify_free_split(entry.spec, left, right, radius=radius,
                                   diagnostics=diagnostics, stats=stats)
     if cert is None:
         report["result"] = "inconclusive"
@@ -202,7 +213,7 @@ def cmd_certify(args) -> int:
 def cmd_fixedset(args) -> int:
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = args.radius if args.radius is not None else 2 * len(g.syllables) + 4
+    radius = _radius(args, 2 * len(g.syllables) + 4)
     try:
         verts = fixed_set(entry.spec, g, radius)
     except VerdictError as exc:
@@ -218,7 +229,7 @@ def cmd_fixedset(args) -> int:
 def cmd_axis(args) -> int:
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = args.radius if args.radius is not None else 2 * len(g.syllables) + 4
+    radius = _radius(args, 2 * len(g.syllables) + 4)
     try:
         verts = axis_segment(entry.spec, g, radius)
     except VerdictError as exc:

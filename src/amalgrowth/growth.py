@@ -473,13 +473,6 @@ def rate(spec: AmalgamSpec, gens: GenSet, *, nmax: int,
     return fit_rate(seq)
 
 
-def word_length(spec: AmalgamSpec, gens: GenSet, g: NormalForm,
-                nmax: int) -> int | None:
-    """Exact word length of g, or None if g is outside the nmax-ball."""
-    res = shortest_word(spec, gens, g, nmax)
-    return None if res is None else res[0]
-
-
 def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm,
                   nmax: int) -> tuple[int, list[str]] | None:
     """(length, letter names) of the lex-least geodesic word for g (letters

@@ -1,13 +1,16 @@
 """Exact recurrence and root machinery.
 
-All sequence and polynomial arithmetic is done over integers / rationals;
-floating point appears only in reported midpoints of root enclosures.
-Positive roots are isolated by one halving loop driven by a chain of
-integer polynomials: p alone, with its sign at infinity, when Descartes'
-rule certifies a unique positive root, and the Sturm chain of p's squarefree
-part otherwise.  Every sign is an integer evaluation of a chain member
-(`_eval_over`) at a numerator over the Cauchy bound's denominator times a
-power of 2.  Recurrences are fitted by one fraction-free linear solver.
+All sequence and polynomial arithmetic is exact; floating point appears only
+in reported midpoints of root enclosures.  A polynomial's denominators are
+cleared once, at `largest_positive_root`; below it every polynomial is an
+integer list.  Positive roots are isolated by one halving loop driven by a
+chain of integer polynomials: p alone, with its sign at infinity, when
+Descartes' rule certifies a unique positive root, and otherwise the Sturm
+chain of p's squarefree part, built by primitive pseudo-remainders (Collins,
+J. ACM 14, 1967) scaled to keep the rational chain's signs.  Every sign is
+an integer evaluation of a chain member (`_eval_over`) at a numerator over
+the Cauchy bound's denominator times a power of 2.  Recurrences are fitted
+by one fraction-free linear solver.
 """
 from __future__ import annotations
 
@@ -20,63 +23,16 @@ DEFAULT_WIDTH = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficients ascending, exact rationals)
+# polynomial helpers (coefficients ascending, integers)
 
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
+def poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def poly_divmod(num, den):
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    if not poly_trim(den):
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = num[:]
-    dlead = den[-1]
-    ddeg = len(den) - 1
-    while len(poly_trim(rem)) - 1 >= ddeg and poly_trim(rem):
-        shift = len(rem) - len(den)
-        coef = rem[-1] / dlead
-        quot[shift] = coef
-        for i, c in enumerate(den):
-            rem[shift + i] -= coef * c
-        rem.pop()
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_gcd(a, b):
-    a = poly_trim([Fraction(c) for c in a])
-    b = poly_trim([Fraction(c) for c in b])
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree_part(p):
-    g = poly_gcd(p, poly_derivative(p))
-    if len(g) <= 1:
-        return poly_trim([Fraction(c) for c in p])
-    q, r = poly_divmod(p, g)
-    assert not r
-    return q
 
 
 def descartes_sign_changes(p) -> int:
@@ -84,24 +40,61 @@ def descartes_sign_changes(p) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_chain(p):
-    chain = [poly_trim([Fraction(c) for c in p])]
-    d = poly_trim(poly_derivative(chain[0]))
-    if d:
-        chain.append(d)
-        while True:
-            _, r = poly_divmod(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append([-c for c in r])
-    return chain
-
-
 def root_upper_bound(p) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
-    p = poly_trim([Fraction(c) for c in p])
-    lead = abs(p[-1])
-    return 1 + max((abs(c) for c in p[:-1]), default=Fraction(0)) / lead
+    """Cauchy bound: all real roots of p (leading coefficient nonzero) lie
+    in [-B, B].  B is unchanged by scaling p."""
+    return 1 + Fraction(max((abs(c) for c in p[:-1]), default=0)) / abs(p[-1])
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients: a positive multiple of p (the
+    zero polynomial [] stays [])."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """|lead b|^k (a mod b), k = deg a - deg b + 1, trimmed: a positive
+    multiple of the remainder of a by b over the rationals, in integers."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lead, r = b[-1], a[:]
+    for shift in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        r = [lead * c for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= top * c
+    return poly_trim(r)
+
+
+def _divide_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b primitive dividing a over the rationals: the quotient has
+    integer coefficients (Gauss's lemma), so every division is exact."""
+    r = a[:]
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        quot[shift] = r.pop() // b[-1]
+        for i, c in enumerate(b[:-1]):
+            r[shift + i] -= quot[shift] * c
+    return quot
+
+
+def _squarefree_sturm_chain(q: list[int]) -> list[list[int]]:
+    """The Sturm chain of q's squarefree part s (deg q >= 1) in integers.
+
+    The gcd of q and q' is the last member of their primitive
+    pseudo-remainder sequence, and s = q / gcd.  Member i is c_i times the
+    rational chain's [s, s', -(s mod s'), ...], the c_i nonzero and all of
+    one sign (that of the gcd's leading coefficient), so the chain has the
+    rational one's sign variations at every point."""
+    a, b = q, poly_derivative(q)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    s = _divide_exact(q, _primitive(a))
+    chain = [s, poly_derivative(s)]
+    while r := _prem(chain[-2], chain[-1]):
+        chain.append(_primitive([-c for c in r]))
+    return chain
 
 
 @dataclass(frozen=True)
@@ -208,17 +201,15 @@ def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosur
     of the root, none at or right of it.  Otherwise the chain is the Sturm
     chain of p's squarefree part, on its Cauchy bound.
     """
-    p = poly_trim([Fraction(c) for c in p])
-    if len(p) <= 1:
+    q = poly_trim(_integer_poly([Fraction(c) for c in p]))
+    if len(q) <= 1:
         return None
-    if descartes_sign_changes(p) == 1:
-        while p[0] == 0:
-            p = p[1:]
-        q = _integer_poly(p)
-        return _refine([q, [1 if q[-1] > 0 else -1]], root_upper_bound(p), width)
-    sf = squarefree_part(p)
-    return _refine([_integer_poly(q) for q in sturm_chain(sf)],
-                   root_upper_bound(sf), width)
+    if descartes_sign_changes(q) == 1:
+        while q[0] == 0:
+            q = q[1:]
+        return _refine([q, [1 if q[-1] > 0 else -1]], root_upper_bound(q), width)
+    chain = _squarefree_sturm_chain(q)
+    return _refine(chain, root_upper_bound(chain[0]), width)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ and any trailing same-side syllable are stripped.  With that convention the
 vertex set is exactly the set of alternating syllable strings, each vertex's
 parent is obtained by dropping the last syllable, and the two base vertices
 (empty key, either side) are adjacent.  Displacements d(v, g.v) are computed
-on these strings; the public distance operation is a capped bidirectional
-BFS over the same adjacency.
+on these strings, and tree distance by walking ancestor chains.
 """
 from __future__ import annotations
 
@@ -130,38 +129,6 @@ def nearest_pair(us, vs) -> tuple[int, TreeVertex, TreeVertex]:
     vs, ties broken by u's and then v's sort_key."""
     return min(((tree_distance(u, v), u, v) for u in us for v in vs),
                key=lambda t: (t[0], t[1].sort_key(), t[2].sort_key()))
-
-
-def distance(spec: AmalgamSpec, u: TreeVertex, v: TreeVertex,
-             radius: int | None = None) -> int | None:
-    """Tree distance via bidirectional BFS over the lazy adjacency; None when
-    a radius cap is given and exceeded.  First contact is exact in a tree."""
-    if u == v:
-        return 0
-    du, dv = {u: 0}, {v: 0}
-    fu, fv = [u], [v]
-    ru = rv = 0
-    while True:
-        if radius is not None and ru + rv >= radius:
-            return None
-        if len(fu) <= len(fv):
-            frontier, mine, theirs = fu, du, dv
-        else:
-            frontier, mine, theirs = fv, dv, du
-        depth = mine[frontier[0]] + 1
-        nxt = []
-        for x in frontier:
-            for y in neighbors(spec, x):
-                if y in mine:
-                    continue
-                mine[y] = depth
-                if y in theirs:
-                    return depth + theirs[y]
-                nxt.append(y)
-        if mine is du:
-            fu, ru = nxt, depth
-        else:
-            fv, rv = nxt, depth
 
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> list[TreeVertex]:

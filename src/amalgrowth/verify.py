@@ -22,7 +22,14 @@ from .amalgam import (
     is_identity,
     multiply,
 )
-from .catalog import CatalogEntry, catalog_load, catalog_names, plastic_enumerate
+from .catalog import (
+    GOLDEN_POLY,
+    PLASTIC_POLY,
+    CatalogEntry,
+    catalog_load,
+    catalog_names,
+    plastic_enumerate,
+)
 from .growth import (
     GenSet,
     GenSetError,
@@ -36,18 +43,15 @@ from .growth import (
 from .spectral import (
     RootEnclosure,
     WeightedAlphabet,
+    _eval_over,
     count_avoiding,
     fit_rate,
     lpv_bound,
-    poly_eval,
-    poly_trim,
     positive_root_from_lengths,
 )
 from .tree import act, classify, elliptic_product_check, tree_distance
 
 GOLDEN = 1.6180339887498949
-GOLDEN_POLY = (-1, -1, 1)
-PLASTIC_POLY = (-1, -1, 0, 1)
 TOL = 1e-9
 
 
@@ -64,19 +68,11 @@ class CriterionResult:
         return f"[{status}] {self.name}: {self.details}"
 
 
-def _strip_zero_roots(poly) -> tuple[Fraction, ...]:
-    """Drop factors of z (low-order zero coefficients)."""
-    p = [Fraction(c) for c in poly]
-    i = 0
-    while i < len(p) - 1 and p[i] == 0:
-        i += 1
-    return tuple(p[i:])
-
-
 def _sign_change_contains(poly, enc: RootEnclosure) -> bool:
-    """Exact witness that the enclosure brackets a root of poly."""
-    p = [Fraction(c) for c in poly]
-    lo, hi = poly_eval(p, enc.lo), poly_eval(p, enc.hi)
+    """Exact witness that the enclosure brackets a root of the integer
+    polynomial poly."""
+    lo, hi = (_eval_over(poly, x.numerator, x.denominator)
+              for x in (enc.lo, enc.hi))
     return lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
 
 
@@ -86,10 +82,12 @@ def criterion_1() -> CriterionResult:
     fit = fit_rate(table.sphere)
     if fit is None:
         return CriterionResult("criterion-1", False, "no recurrence fit")
-    poly = _strip_zero_roots(fit.recurrence.char_poly())
+    # the characteristic polynomial with its roots at 0 divided out
+    poly = tuple(itertools.dropwhile(lambda c: c == 0,
+                                     fit.recurrence.char_poly()))
     enc = fit.enclosure
     root_ok = enc is not None and abs(enc.mid - GOLDEN) <= TOL
-    poly_ok = poly == tuple(Fraction(c) for c in GOLDEN_POLY)
+    poly_ok = poly == GOLDEN_POLY
     return CriterionResult(
         "criterion-1", poly_ok and root_ok,
         f"c2*c3 char poly {tuple(map(str, poly))} "
@@ -152,14 +150,6 @@ def criterion_4() -> CriterionResult:
         f"{fit} brackets (3+sqrt5)/2 {root_ok}")
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += Fraction(a) * Fraction(b)
-    return out
-
-
 def criterion_5() -> CriterionResult:
     nmax = 30
     quad = WeightedAlphabet((("p", 2), ("q", 2), ("r", 3), ("s", 3)))
@@ -170,9 +160,10 @@ def criterion_5() -> CriterionResult:
     w3 = count_avoiding(tri, nmax)
     rec3_ok = all(w3[n] == 2 * w3[n - 2] + w3[n - 3]
                   for n in range(3, nmax + 1))
-    # z^3 - 2z - 1 = (z + 1)(z^2 - z - 1), exactly
-    factored = _poly_mul((1, 1), GOLDEN_POLY)
-    factor_ok = poly_trim(factored) == [Fraction(v) for v in (-1, -2, 0, 1)]
+    # z^3 - 2z - 1 = (z + 1)(z^2 - z - 1), exactly: both sides have degree
+    # 3 and agree at 4 points
+    factor_ok = all(_eval_over((1, 1), z, 1) * _eval_over(GOLDEN_POLY, z, 1)
+                    == _eval_over((-1, -2, 0, 1), z, 1) for z in range(4))
     fit = fit_rate(w3[2:])
     enc = fit.enclosure if fit else None
     root_ok = enc is not None and abs(enc.mid - GOLDEN) <= TOL

@@ -259,6 +259,12 @@ def test_root_lengths_and_poly(capsys):
     ["root", "--lengths", "0"],
     ["root", "--lengths", "2", "-1"],
     ["growth", "c2*c3", "--nmax", "-1"],
+    ["growth", "c2*c3", "--budget", "-5", "--nmax", "3"],
+    ["fixedset", "c2*c3", "a", "--radius", "-1"],
+    ["axis", "c2*c3", "a b", "--radius", "-1"],
+    ["classify", "c2*c3", "a b", "--radius", "-1"],
+    ["certify", "c2*c3", "--mode", "monoid", "--radius", "-1",
+     "--elements", "a b", "b a b"],
 ])
 def test_invalid_input_is_an_error(argv, capsys):
     assert cli.main(argv) == cli.EXIT_ERROR

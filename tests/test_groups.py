@@ -1,4 +1,9 @@
+import random
+import re
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amalgrowth.groups import (
     EmbeddingError,
@@ -60,18 +65,132 @@ def test_from_table_rejects_bad_tables():
         from_table([[1, 0], [1, 0]])  # columns not permutations
 
 
+# A quasigroup of order 5 (rows/columns are permutations, identity at 0)
+# that is not associative.
+LOOP_5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_from_table_rejects_nonassociative():
-    # A quasigroup of order 5 (rows/columns are permutations, identity at 0)
-    # that is not associative.
-    mul = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(GroupValidationError):
+        from_table(LOOP_5)
+
+
+def _associative(mul) -> bool:
+    """All-triples associativity: the oracle for Light's test."""
+    n = range(len(mul))
+    return all(mul[mul[x][y]][z] == mul[x][mul[y][z]]
+               for x in n for y in n for z in n)
+
+
+def _random_loop(n: int, rng: random.Random):
+    """A Latin square of order n with identity 0 and two-sided inverses by
+    randomised backtracking, or None if this draw of inverses has none."""
+    mul = [[None] * n for _ in range(n)]
+    mul[0] = list(range(n))
+    for x in range(n):
+        mul[x][0] = x
+    # inverses: a random involution of 1..n-1
+    others = list(range(1, n))
+    rng.shuffle(others)
+    pairs = rng.randint(0, len(others) // 2)
+    inv = {x: x for x in others}
+    for i in range(pairs):
+        x, y = others[2 * i], others[2 * i + 1]
+        inv[x], inv[y] = y, x
+    for x in others:
+        mul[x][inv[x]] = 0
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)
+             if mul[x][y] is None]
+    nodes = 0
+
+    def fill(i):
+        nonlocal nodes
+        nodes += 1
+        if i == len(cells):
+            return True
+        if nodes > 20000:
+            return False
+        x, y = cells[i]
+        used = set(mul[x]) | {mul[r][y] for r in range(n)}
+        values = [v for v in range(n) if v not in used]
+        rng.shuffle(values)
+        for v in values:
+            mul[x][y] = v
+            if fill(i + 1):
+                return True
+        mul[x][y] = None
+        return False
+
+    return mul if fill(0) else None
+
+
+def _relabel(mul, perm):
+    """The table with element x renamed perm[x]."""
+    out = [[0] * len(mul) for _ in mul]
+    for x, row in enumerate(mul):
+        for y, v in enumerate(row):
+            out[perm[x]][perm[y]] = perm[v]
+    return out
+
+
+GROUPS_TO_8 = [cyclic(n) for n in range(1, 9)] + [
+    dihedral(6), dihedral(8), direct_product(cyclic(2), cyclic(2)),
+    direct_product(cyclic(2), cyclic(4)),
+    direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), group=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_light_test_agrees_with_all_triples(data, n, group, seed):
+    if group:
+        mul = [list(row) for row in data.draw(st.sampled_from(GROUPS_TO_8)).mul]
+    else:
+        mul = _random_loop(n, random.Random(seed))
+        assume(mul is not None)
+    mul = _relabel(mul, data.draw(st.permutations(range(len(mul)))))
+    if _associative(mul):
+        assert from_table(mul).order == len(mul)
+        return
+    with pytest.raises(GroupValidationError, match="associativity") as exc:
         from_table(mul)
+    # the witness is a failing triple
+    x, y, z = map(int, re.findall(r"g(\d+)", str(exc.value)))
+    assert mul[mul[x][y]][z] != mul[x][mul[y][z]]
+
+
+def test_light_test_rejects_a_loop_of_order_66():
+    # Z/66 with the intercalate at rows {1, 34} x columns {2, 35} swapped:
+    # still a Latin square with identity 0 and the same inverses, and not
+    # associative
+    mul = [[(x + y) % 66 for y in range(66)] for x in range(66)]
+    for x in (1, 34):
+        mul[x][2], mul[x][35] = mul[x][35], mul[x][2]
+    assert not _associative(mul)
+    with pytest.raises(GroupValidationError, match="associativity"):
+        from_table(mul)
+
+
+def test_light_test_checks_every_generator():
+    # LOOP_5 x Z/2 with (q, z) at index 2q + z: the first generator, 1 =
+    # (0, 1), is central and passes; a later generator must find the failure
+    mul = [[2 * LOOP_5[q][r] + (z ^ w) for r in range(5) for w in (0, 1)]
+           for q in range(5) for z in (0, 1)]
+    with pytest.raises(GroupValidationError, match="associativity") as exc:
+        from_table(mul)
+    assert ",g1," not in str(exc.value)
+
+
+def test_large_groups_are_validated_exactly():
+    d = dihedral(130)
+    assert d.order == 130 and not d.is_abelian()
+    assert from_table(d.mul).order == 130
 
 
 def test_build_group_families():

@@ -30,7 +30,6 @@ from amalgrowth.growth import (
     rate,
     shortest_word,
     sphere_stream,
-    word_length,
 )
 from amalgrowth.spectral import fit_rate
 from amalgrowth.verify import _random_genset, _reference_spheres, _same_spheres
@@ -243,7 +242,6 @@ def test_shortest_word_is_geodesic():
     length, word = res
     assert parse_word(entry, " ".join(word)) == g
     assert length == len(word)
-    assert word_length(entry.spec, entry.default_genset, g, 12) == length
     # nothing shorter exists: the length-(l-1) ball misses g
     table_elems = set()
     from amalgrowth.amalgam import identity_nf, invert, multiply
@@ -357,10 +355,10 @@ def test_state_table_accepts_shortlex_least_words_of_random_sets(name, seed, inv
 def test_word_length_identity_and_out_of_range():
     entry = catalog_load("c2*c3")
     from amalgrowth.amalgam import identity_nf
-    assert word_length(entry.spec, entry.default_genset,
-                       identity_nf(entry.spec), 3) == 0
+    assert shortest_word(entry.spec, entry.default_genset,
+                         identity_nf(entry.spec), 3)[0] == 0
     far = parse_word(entry, " ".join(["a b"] * 10))
-    assert word_length(entry.spec, entry.default_genset, far, 2) is None
+    assert shortest_word(entry.spec, entry.default_genset, far, 2) is None
 
 
 def test_rate_estimates_bounds(tmp_path):

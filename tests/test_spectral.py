@@ -2,7 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amalgrowth.catalog import catalog_load, catalog_names
@@ -83,6 +83,79 @@ def test_sturm_path_enclosures_pinned(p, width, lo, hi, steps):
     enc = largest_positive_root(p, width=width)
     assert (enc.lo, enc.hi, enc.bisection_steps) == (lo, hi, steps)
     assert enc.unique_positive == (p == [-1, 2, -2, 1])
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _known_roots_poly(scale, zeros, roots, quadratic):
+    """scale * z^zeros * (z^2 + bz + b^2/4 + d) * prod (z - r)^m for
+    quadratic (b, d), d > 0, and roots [(r, m), ...]."""
+    p = [scale]
+    for r, m in roots:
+        for _ in range(m):
+            p = _times(p, [-r, Fraction(1)])
+    if quadratic is not None:
+        b, d = quadratic
+        p = _times(p, [b * b / 4 + d, b, Fraction(1)])
+    return [Fraction(0)] * zeros + p
+
+
+def _assert_encloses_largest_known_root(p, roots, width):
+    # the roots are known, so this oracle shares nothing with the chain
+    positive = sorted({r for r, _ in roots if r > 0})
+    enc = largest_positive_root(p, width=width)
+    if not positive:
+        assert enc is None
+        return
+    assert enc.lo <= positive[-1] <= enc.hi
+    assert enc.width <= width
+    assert not any(enc.lo <= r <= enc.hi for r, _ in roots if r != positive[-1])
+    assert enc.unique_positive == (len(positive) == 1)
+
+
+widths = st.sampled_from([Fraction(1, 10**12), Fraction(1, 3)])
+scales = st.one_of(st.fractions(Fraction(1, 4), 5, max_denominator=4),
+                   st.fractions(-5, Fraction(-1, 4), max_denominator=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(roots=st.lists(st.tuples(st.fractions(-6, 6, max_denominator=5),
+                                st.integers(1, 3)), max_size=4),
+       quadratic=st.one_of(st.none(), st.tuples(
+           st.fractions(-4, 4, max_denominator=3),
+           st.fractions(Fraction(1, 3), 4, max_denominator=3))),
+       zeros=st.integers(0, 2), scale=scales, width=widths)
+def test_sturm_path_encloses_the_largest_known_root(roots, quadratic, zeros,
+                                                    scale, width):
+    p = _known_roots_poly(scale, zeros, roots, quadratic)
+    assume(len(p) > 1 and descartes_sign_changes(p) != 1)
+    _assert_encloses_largest_known_root(p, roots, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(r1=st.fractions(-4, 4, max_denominator=3),
+       r2=st.fractions(-4, 4, max_denominator=3),
+       shift=st.fractions(-4, 4, max_denominator=3),
+       scale=scales, width=widths)
+def test_sturm_path_across_a_degree_gap(r1, r2, shift, scale, width):
+    # roots r1, r2 and s +- it with s = -(r1 + r2) / 2 and t^2 = 3s^2 - r1 r2
+    # have e1 = e2 = 0, so in u = z - shift the quartic is u^4 + cu + e: the
+    # first remainder has degree 1, two below p', and the next
+    # pseudo-remainder takes an odd power of a leading coefficient of
+    # either sign
+    s = -(r1 + r2) / 2
+    t2 = 3 * s * s - r1 * r2
+    assume(t2 > 0)
+    roots = [(r1 + shift, 1), (r2 + shift, 1)]
+    p = _known_roots_poly(scale, 0, roots, (-2 * (s + shift), t2))
+    assume(descartes_sign_changes(p) != 1)
+    _assert_encloses_largest_known_root(p, roots, width)
 
 
 @pytest.mark.parametrize("p, lo, hi, steps", [

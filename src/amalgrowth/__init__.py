@@ -5,8 +5,11 @@ certificates, and a catalog of ready-made specifications."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .amalgam import (
     AmalgamSpec,
+    GenSet,
     NormalForm,
     Word,
     cyclic_reduce,
@@ -14,6 +17,7 @@ from .amalgam import (
     invert,
     is_identity,
     make_amalgam,
+    make_genset,
     multiply,
     nf_from_json,
     nf_to_json,
@@ -21,34 +25,35 @@ from .amalgam import (
 )
 from .catalog import catalog_load, catalog_names, parse_word
 from .groups import FiniteGroup, build_group, cyclic, dihedral, direct_product
-from .growth import (
-    GenSet,
-    GrowthTable,
-    enumerate_balls,
-    make_genset,
-    rate,
-    shortest_word,
-)
-from .pingpong import (
-    PingPongCertificate,
-    certify_free_monoid,
-    certify_free_split,
-    replay,
-)
-from .spectral import (
-    FittedRate,
-    Recurrence,
-    RootEnclosure,
-    WeightedAlphabet,
-    count_avoiding,
-    dominant_root,
-    fit_rate,
-    fit_recurrence,
-    largest_positive_root,
-    lpv_bound,
-    positive_root_from_lengths,
-)
-from .tree import TreeVertex, axis_segment, classify, fixed_set
+
+# the other layers load on first access to one of their names (PEP 562): a
+# caller that counts balls never compiles the tree or certificate code, and
+# one that only loads the catalog compiles none of them
+_LAZY = {
+    **dict.fromkeys(("GrowthTable", "enumerate_balls", "rate", "shortest_word"),
+                    "growth"),
+    **dict.fromkeys(("PingPongCertificate", "certify_free_monoid",
+                     "certify_free_split", "replay"), "pingpong"),
+    **dict.fromkeys(("FittedRate", "Recurrence", "RootEnclosure",
+                     "WeightedAlphabet", "count_avoiding", "dominant_root",
+                     "fit_rate", "fit_recurrence", "largest_positive_root",
+                     "lpv_bound", "positive_root_from_lengths"), "spectral"),
+    **dict.fromkeys(("TreeVertex", "axis_segment", "classify", "fixed_set"),
+                    "tree"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "AmalgamSpec",

@@ -13,7 +13,6 @@ them step together as one class; `multiply` stays the reference arithmetic.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,6 +64,8 @@ class AmalgamSpec:
         return max(2 * max(self.A.order, self.B.order), self.C.order - 1).bit_length()
 
     def spec_hash(self) -> str:
+        import hashlib
+
         payload = {
             "A": self.A.mul, "B": self.B.mul, "C": self.C.mul,
             "embA": self.embA.image, "embB": self.embB.image,
@@ -249,6 +250,32 @@ def reduce_word(spec: AmalgamSpec, w: Word,
             raise ValueError(f"exponent must be +-1, got {exp}")
         acc = multiply(spec, acc, g)
     return acc
+
+
+class GenSetError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class GenSet:
+    names: tuple[str, ...]
+    elements: tuple[NormalForm, ...]
+
+    def alphabet(self) -> dict[str, NormalForm]:
+        return dict(zip(self.names, self.elements))
+
+
+def make_genset(spec: AmalgamSpec, named: list[tuple[str, NormalForm]]) -> GenSet:
+    names = [n for n, _ in named]
+    elements = [g for _, g in named]
+    if len(set(names)) != len(names):
+        raise GenSetError("duplicate generator names")
+    if len(set(g.key() for g in elements)) != len(elements):
+        raise GenSetError("duplicate generators")
+    for n, g in named:
+        if is_identity(spec, g):
+            raise GenSetError(f"generator {n} is the identity")
+    return GenSet(tuple(names), tuple(elements))
 
 
 def nf_to_json(x: NormalForm) -> dict:

@@ -18,16 +18,17 @@ from .amalgam import (
     SIDE_A,
     SIDE_B,
     AmalgamSpec,
+    GenSet,
     NormalForm,
     Word,
     factor_nf,
     identity_nf,
     make_amalgam,
+    make_genset,
     multiply,
     reduce_word,
 )
 from .groups import cyclic, dihedral, direct_product, verify_embedding
-from .growth import GenSet, make_genset, shortest_word
 
 
 @dataclass(frozen=True)
@@ -369,6 +370,8 @@ def _rewrite_letters(s: str) -> str:
 def plastic_normal_form(entry: CatalogEntry, g: NormalForm) -> PlasticForm:
     """The letter-minimal form of g; evaluating it reproduces g and its
     length is the word length over {a, b, c}."""
+    from .growth import shortest_word
+
     gens = make_genset(entry.spec,
                        [(n, entry.alphabet[n]) for n in ("a", "b", "c")])
     bound = 3 * len(g.syllables) + 4

@@ -4,6 +4,9 @@ Every JSON output carries the spec hash, generator names, parameters, seed,
 and artifact version, so any reported number can be reproduced exactly.
 
 Exit codes: 0 success, 1 error, 2 inconclusive, 3 partial output (budget).
+
+Each handler imports the layers it runs, so `root` and `catalog` load no
+tree or certificate code.
 """
 from __future__ import annotations
 
@@ -20,26 +23,6 @@ from .catalog import (
     catalog_names,
     parse_word,
 )
-from .growth import (
-    DEFAULT_BUDGET,
-    MIN_FIT_TERMS,
-    ball_estimates,
-    enumerate_balls,
-    growth_table_csv,
-    shortest_word,
-)
-from .pingpong import (
-    certify_free_monoid,
-    certify_free_split,
-    replay,
-)
-from .spectral import (
-    fit_rate,
-    largest_positive_root,
-    positive_root_from_lengths,
-)
-from .tree import VerdictError, axis_segment, classify, fixed_set, vertex_json
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,7 +81,18 @@ def _radius(args, default: int | None) -> int | None:
 
 
 def cmd_growth(args) -> int:
+    from .growth import (
+        DEFAULT_BUDGET,
+        MIN_FIT_TERMS,
+        ball_estimates,
+        enumerate_balls,
+        growth_table_csv,
+    )
+    from .spectral import fit_rate
+
     entry = _load(args.spec)
+    if args.budget is None:
+        args.budget = DEFAULT_BUDGET
     if args.budget < 0:
         raise CliError("--budget must be >= 0")
     try:
@@ -153,6 +147,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .tree import classify, vertex_json
+
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
     radius = _radius(args, 2 * len(g.syllables))
@@ -170,6 +166,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .growth import shortest_word
+    from .pingpong import certify_free_monoid, certify_free_split, replay
+    from .spectral import positive_root_from_lengths
+
     entry = _load(args.spec)
     report = _provenance(entry, args)
     diagnostics: list[str] = []
@@ -211,6 +211,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fixedset(args) -> int:
+    from .tree import VerdictError, fixed_set, vertex_json
+
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
     radius = _radius(args, 2 * len(g.syllables) + 4)
@@ -227,6 +229,8 @@ def cmd_fixedset(args) -> int:
 
 
 def cmd_axis(args) -> int:
+    from .tree import VerdictError, axis_segment, classify, vertex_json
+
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
     radius = _radius(args, 2 * len(g.syllables) + 4)
@@ -263,6 +267,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import run_all
+
     results = run_all(seed=args.seed)
     if not args.out:
         for r in results:
@@ -280,6 +286,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_root(args) -> int:
+    from .spectral import largest_positive_root, positive_root_from_lengths
+
     if args.lengths:
         try:
             enc = positive_root_from_lengths(args.lengths)
@@ -319,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="enumerate Cayley balls exactly")
     common(p)
     p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    # None stands for growth.DEFAULT_BUDGET, read when the command runs
+    p.add_argument("--budget", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_growth)
 

@@ -93,13 +93,10 @@ def _validate_table(mul: list[list[int]], labels: list[str]) -> tuple[int, list[
     if identity is None:
         raise GroupValidationError("no two-sided identity")
 
-    inv = [None] * n
+    # rows are permutations, so x has exactly one right inverse
+    inv = [row.index(identity) for row in mul]
     for x in rng:
-        for y in rng:
-            if mul[x][y] == identity and mul[y][x] == identity:
-                inv[x] = y
-                break
-        if inv[x] is None:
+        if mul[inv[x]][x] != identity:
             raise GroupValidationError(f"no two-sided inverse for {labels[x]}")
 
     # Light's test: the g with (x g) y = x (g y) for all x, y are closed

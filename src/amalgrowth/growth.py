@@ -54,6 +54,7 @@ from .amalgam import (
     SIDE_A,
     SIDE_B,
     AmalgamSpec,
+    GenSet,
     NormalForm,
     StepTable,
     encode_flat,
@@ -62,6 +63,9 @@ from .amalgam import (
     is_identity,
     multiply,
 )
+# generating sets are validated in amalgam, which the catalog loads without
+# growth; the names stay importable from here
+from .amalgam import GenSetError, make_genset  # noqa: F401
 from .spectral import FittedRate, fit_rate
 
 DEFAULT_BUDGET = 10_000_000
@@ -69,32 +73,6 @@ DEFAULT_BUDGET = 10_000_000
 MIN_FIT_TERMS = 10
 # prefix digits packed into an element's base at a time (module docstring)
 BLOCK = 4
-
-
-class GenSetError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class GenSet:
-    names: tuple[str, ...]
-    elements: tuple[NormalForm, ...]
-
-    def alphabet(self) -> dict[str, NormalForm]:
-        return dict(zip(self.names, self.elements))
-
-
-def make_genset(spec: AmalgamSpec, named: list[tuple[str, NormalForm]]) -> GenSet:
-    names = [n for n, _ in named]
-    elements = [g for _, g in named]
-    if len(set(names)) != len(names):
-        raise GenSetError("duplicate generator names")
-    if len(set(g.key() for g in elements)) != len(elements):
-        raise GenSetError("duplicate generators")
-    for n, g in named:
-        if is_identity(spec, g):
-            raise GenSetError(f"generator {n} is the identity")
-    return GenSet(tuple(names), tuple(elements))
 
 
 @dataclass(frozen=True)

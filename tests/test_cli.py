@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from test_growth import _child_env
 
 import amalgrowth
-from amalgrowth import cli
+from amalgrowth import amalgam, cli, growth
 from amalgrowth.pingpong import PingPongCertificate, replay
 from amalgrowth.catalog import catalog_load, catalog_names
 from amalgrowth.growth import MIN_FIT_TERMS
@@ -17,6 +21,50 @@ def _json_out(capsys):
 
 def test_every_public_name_resolves():
     assert [n for n in amalgrowth.__all__ if not hasattr(amalgrowth, n)] == []
+    star: dict = {}
+    exec("from amalgrowth import *", star)
+    assert all(star[n] is getattr(amalgrowth, n) for n in amalgrowth.__all__)
+    assert set(amalgrowth.__all__) <= set(dir(amalgrowth))
+    assert not hasattr(amalgrowth, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        amalgrowth.no_such_name
+    assert growth.GenSet is amalgrowth.GenSet
+    assert growth.make_genset is amalgrowth.make_genset
+    assert growth.GenSetError is amalgam.GenSetError
+
+
+def test_cold_start_loads_only_the_layers_a_call_uses():
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        def layers():
+            return sorted(m.split(".")[1] for m in sys.modules
+                          if m.startswith("amalgrowth."))
+        import amalgrowth
+        for name in amalgrowth.catalog_names():
+            amalgrowth.catalog_load(name)
+        after_load = layers()
+        from amalgrowth import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["root", "--lengths", "2", "3"]) == 0
+        print(json.dumps([after_load, layers()]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    after_load, after_root = map(set, json.loads(proc.stdout))
+    assert "catalog" in after_load
+    assert not {"growth", "spectral", "tree", "pingpong", "verify", "cli"} & after_load
+    assert "spectral" in after_root
+    assert not {"pingpong", "tree", "verify"} & after_root
+
+
+def test_python_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "amalgrowth", "catalog"],
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = [e["name"] for e in json.loads(proc.stdout)["catalog"]]
+    assert names == catalog_names() and len(names) == 7
 
 
 def test_unknown_entry_is_an_error(capsys):
@@ -282,7 +330,8 @@ def test_verify_paper_prints_lines_only_without_out(tmp_path, capsys,
                                                     monkeypatch):
     stub = [CriterionResult("criterion-a", True, "first"),
             CriterionResult("criterion-b", False, "second")]
-    monkeypatch.setattr(cli, "run_all", lambda seed: stub)
+    # the handler imports run_all when it runs, so the stub goes on verify
+    monkeypatch.setattr("amalgrowth.verify.run_all", lambda seed: stub)
     out = tmp_path / "paper.json"
     assert cli.main(["verify-paper", "--out", str(out)]) == 1
     assert capsys.readouterr().out == ""

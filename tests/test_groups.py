@@ -81,6 +81,21 @@ def test_from_table_rejects_nonassociative():
         from_table(LOOP_5)
 
 
+def test_from_table_rejects_one_sided_inverses():
+    # a Latin square with two-sided identity 0 in which g2 has right inverse
+    # g3 (g2 g3 = g0) but left inverse g4 (g3 g2 = g1, g4 g2 = g0)
+    mul = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    with pytest.raises(GroupValidationError,
+                       match=re.escape("no two-sided inverse for g2")):
+        from_table(mul)
+
+
 def _associative(mul) -> bool:
     """All-triples associativity: the oracle for Light's test."""
     n = range(len(mul))

@@ -13,6 +13,7 @@ them step together as one class; `multiply` stays the reference arithmetic.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,8 +65,6 @@ class AmalgamSpec:
         return max(2 * max(self.A.order, self.B.order), self.C.order - 1).bit_length()
 
     def spec_hash(self) -> str:
-        import hashlib
-
         payload = {
             "A": self.A.mul, "B": self.B.mul, "C": self.C.mul,
             "embA": self.embA.image, "embB": self.embB.image,

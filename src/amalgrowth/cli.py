@@ -389,7 +389,3 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

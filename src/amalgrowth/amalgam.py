@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .groups import Embedding, FiniteGroup, Transversal, coset_transversal
 
@@ -24,8 +23,8 @@ SIDE_A = 0
 SIDE_B = 1
 
 
-@dataclass(frozen=True)
-class AmalgamSpec:
+class AmalgamSpec(NamedTuple):
+    """Built by `make_amalgam`, which also fills in the derived fields."""
     A: FiniteGroup
     B: FiniteGroup
     C: FiniteGroup
@@ -33,7 +32,12 @@ class AmalgamSpec:
     embB: Embedding
     transA: Transversal
     transB: Transversal
-    name: str = ""
+    name: str
+    # bits per digit of the packed form (`encode_flat`): enough for a
+    # syllable digit 1 + side + 2 * rep and for a head in C
+    digit_bits: int
+    # `spec_hash()`, computed once
+    digest: str
 
     @property
     def index_product(self) -> int:
@@ -58,39 +62,30 @@ class AmalgamSpec:
     def transversal(self, side: int) -> Transversal:
         return self.transA if side == SIDE_A else self.transB
 
-    @cached_property
-    def digit_bits(self) -> int:
-        """Bits per digit of the packed form (`encode_flat`): enough for a
-        syllable digit 1 + side + 2 * rep and for a head in C."""
-        return max(2 * max(self.A.order, self.B.order), self.C.order - 1).bit_length()
-
     def spec_hash(self) -> str:
-        payload = {
-            "A": self.A.mul, "B": self.B.mul, "C": self.C.mul,
-            "embA": self.embA.image, "embB": self.embB.image,
-        }
-        blob = json.dumps(payload, sort_keys=True, default=list).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """16 hex digits of the sha256 of the tables and embeddings."""
+        return self.digest
 
 
 def make_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
                  embA: Embedding, embB: Embedding, name: str = "") -> AmalgamSpec:
+    payload = {"A": A.mul, "B": B.mul, "C": C.mul,
+               "embA": embA.image, "embB": embB.image}
+    blob = json.dumps(payload, sort_keys=True, default=list).encode()
     return AmalgamSpec(
         A=A, B=B, C=C, embA=embA, embB=embB,
         transA=coset_transversal(A, embA),
         transB=coset_transversal(B, embB),
         name=name,
+        digit_bits=max(2 * max(A.order, B.order), C.order - 1).bit_length(),
+        digest=hashlib.sha256(blob).hexdigest()[:16],
     )
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """syllables: ((side, element_index), ...); head: element index in C."""
     syllables: tuple[tuple[int, int], ...]
     head: int
-
-    def __len__(self) -> int:
-        return len(self.syllables)
 
     def key(self) -> tuple:
         return (self.syllables, self.head)
@@ -213,8 +208,7 @@ def cyclic_reduce(spec: AmalgamSpec, x: NormalForm) -> tuple[NormalForm, NormalF
     return cur, conj
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(NamedTuple):
     """A word over a named generator alphabet; letters are (name, exponent)
     with exponent +-1."""
     letters: tuple[tuple[str, int], ...]
@@ -255,8 +249,7 @@ class GenSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenSet:
+class GenSet(NamedTuple):
     names: tuple[str, ...]
     elements: tuple[NormalForm, ...]
 

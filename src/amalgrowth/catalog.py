@@ -11,8 +11,8 @@ oracle for Cayley-sphere sizes that is independent of ball enumeration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -31,8 +31,7 @@ from .amalgam import (
 from .groups import cyclic, dihedral, direct_product, verify_embedding
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     spec: AmalgamSpec
     # canonical letters for parsing words on the command line; may contain
@@ -252,8 +251,7 @@ PLASTIC_EDGE = ("", "a", "b", "ab")
 PLASTIC_MIDDLE = ("b", "ab")
 
 
-@dataclass(frozen=True)
-class PlasticForm:
+class PlasticForm(NamedTuple):
     """Letter-minimal positive word for the pgl2z entry, stored as the
     maximal c-free segments; k segments carry k-1 interleaved c letters."""
     segments: tuple[str, ...]
@@ -307,8 +305,7 @@ def plastic_forms(nmax: int) -> list[PlasticForm]:
     return out
 
 
-@dataclass(frozen=True)
-class PlasticCounts:
+class PlasticCounts(NamedTuple):
     nmax: int
     w: tuple[int, ...]       # all forms of each letter length
     c: tuple[int, ...]       # forms ending in c

@@ -9,7 +9,7 @@ n^2 lookups per generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class GroupValidationError(ValueError):
@@ -17,8 +17,7 @@ class GroupValidationError(ValueError):
     axiom and a witness."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
@@ -190,8 +189,7 @@ def build_group(spec: dict) -> FiniteGroup:
     raise ValueError(f"unknown group family: {fam!r}")
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An injective homomorphism from `source` into `target`, given as a
     per-element index map."""
     source: FiniteGroup
@@ -226,13 +224,12 @@ def verify_embedding(source: FiniteGroup, target: FiniteGroup, image) -> Embeddi
     return Embedding(source, target, image)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """Left-coset representatives of the embedded subgroup, identity first,
     every other coset represented by its smallest element index."""
     reps: tuple[int, ...]
     # per target element: (rep, c) with element = rep * image[c]
-    factorization: tuple[tuple[int, int], ...] = field(repr=False)
+    factorization: tuple[tuple[int, int], ...]
 
 
 def coset_transversal(target: FiniteGroup, emb: Embedding) -> Transversal:

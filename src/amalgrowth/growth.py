@@ -46,9 +46,9 @@ from __future__ import annotations
 import io
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import chain, combinations, product, repeat
 from operator import lshift, or_
+from typing import NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -75,8 +75,7 @@ MIN_FIT_TERMS = 10
 BLOCK = 4
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     nmax: int
     sphere: tuple[int, ...]
     ball: tuple[int, ...]

@@ -25,7 +25,7 @@ Success is a proof; failure is always inconclusive (never a refutation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -59,8 +59,7 @@ from .tree import (
 SUBGROUP_CAP = 512
 
 
-@dataclass(frozen=True)
-class HalfTree:
+class HalfTree(NamedTuple):
     """The vertices strictly closer to w than to u, for an edge (u, w); one of
     the two components of the tree minus that edge.
 
@@ -111,8 +110,7 @@ def _vertex_from_json(spec: AmalgamSpec, d: dict) -> TreeVertex:
     return TreeVertex(side, key)
 
 
-@dataclass
-class PingPongCertificate:
+class PingPongCertificate(NamedTuple):
     kind: str                      # "free-monoid" | "free-product-split"
     spec_hash: str
     radius: int
@@ -120,10 +118,10 @@ class PingPongCertificate:
     sets: list[dict]               # {"label": str, "u": {...}, "w": {...}}
     checks: list[dict]
     conclusion: str
-    data: dict = field(default_factory=dict)
+    data: dict
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
     @staticmethod
     def from_json(d: dict) -> "PingPongCertificate":
@@ -392,17 +390,24 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     if any(c.elliptic for c in base_cls):
         _diag(diagnostics, "an element is elliptic; no attracting half-tree")
         return None
+    # (element or its inverse, its classification, its forward anchors) per
+    # (index, flip), built on first use: 2k of them serve all 2^k patterns
+    sides: dict[tuple[int, bool], tuple] = {}
+
+    def side(i: int, flip: bool) -> tuple:
+        if (i, flip) not in sides:
+            g = invert(spec, elements[i]) if flip else elements[i]
+            c = classify(spec, g) if flip else base_cls[i]
+            sides[i, flip] = g, c, _forward_anchors(spec, g, c)
+        return sides[i, flip]
+
     patterns = sorted(itertools.product((False, True), repeat=k),
                       key=lambda p: (sum(p), p))
     for pattern in patterns:
         counts["patterns_tried"] += 1
-        els = [invert(spec, g) if flip else g
-               for g, flip in zip(elements, pattern)]
-        cls = [base_cls[i] if not pattern[i] else classify(spec, els[i])
-               for i in range(k)]
-        anchors = [_forward_anchors(spec, els[i], cls[i]) for i in range(k)]
-        if any(not a for a in anchors):
+        if not all(side(i, flip)[2] for i, flip in enumerate(pattern)):
             continue
+        els, cls, anchors = zip(*map(side, range(k), pattern))
         chosen: list[HalfTree] = []
 
         def search(i: int) -> bool:

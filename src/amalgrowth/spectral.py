@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 DEFAULT_WIDTH = Fraction(1, 10**12)
 
@@ -97,14 +97,24 @@ def _squarefree_sturm_chain(q: list[int]) -> list[list[int]]:
     return chain
 
 
-@dataclass(frozen=True)
-class RootEnclosure:
+class RootEnclosure(NamedTuple):
     lo: Fraction
     hi: Fraction
     degenerate: bool = False
     unique_positive: bool = True
     # interval halvings the isolation took: a diagnostic, not in equality
-    bisection_steps: int = field(default=0, compare=False)
+    bisection_steps: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, RootEnclosure):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     @property
     def mid(self) -> float:
@@ -215,8 +225,7 @@ def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosur
 # ---------------------------------------------------------------------------
 # recurrence fitting
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(NamedTuple):
     """W(n) = c1 W(n-1) + ... + cd W(n-d), with exact coefficients."""
     order: int
     coefficients: tuple[Fraction, ...]
@@ -318,8 +327,7 @@ FIT_SCHEDULE = ((4, 5), (3, 6))
 COMPLETE_FIT_SCHEDULE = ((4, 6), (3, 7), (2, 8), (1, 8))
 
 
-@dataclass(frozen=True)
-class FittedRate:
+class FittedRate(NamedTuple):
     """A growth rate read off a recurrence fitted to counts[skip:]: evidence
     resting on the recurrence's `guard` held-out terms, not a proof."""
     recurrence: Recurrence
@@ -348,24 +356,28 @@ def fit_rate(counts, *, complete: bool = True) -> FittedRate | None:
 # ---------------------------------------------------------------------------
 # counting words avoiding forbidden factors (weighted symbols)
 
-@dataclass(frozen=True)
-class WeightedAlphabet:
-    """Symbols with positive integer lengths and a list of forbidden factors
-    (tuples of symbol names)."""
+class _Alphabet(NamedTuple):
     symbols: tuple[tuple[str, int], ...]
     forbidden: tuple[tuple[str, ...], ...] = ()
 
-    def __post_init__(self):
-        names = [s for s, _ in self.symbols]
+
+class WeightedAlphabet(_Alphabet):
+    """Symbols with positive integer lengths and a list of forbidden factors
+    (tuples of symbol names), validated on construction."""
+    __slots__ = ()
+
+    def __new__(cls, symbols, forbidden=()):
+        names = [s for s, _ in symbols]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
-        if any(l < 1 for _, l in self.symbols):
+        if any(l < 1 for _, l in symbols):
             raise ValueError("symbol lengths must be positive")
-        for f in self.forbidden:
+        for f in forbidden:
             if not f:
                 raise ValueError("forbidden factors must be nonempty")
             if any(s not in names for s in f):
                 raise ValueError(f"forbidden factor uses unknown symbol: {f}")
+        return super().__new__(cls, symbols, forbidden)
 
 
 def _avoidance_automaton(alpha: WeightedAlphabet):

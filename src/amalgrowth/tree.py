@@ -13,7 +13,7 @@ on these strings, and tree distance by walking ancestor chains.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .amalgam import (
     SIDE_A,
@@ -26,8 +26,7 @@ from .amalgam import (
 )
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(NamedTuple):
     side: int
     key: tuple[tuple[int, int], ...]
 
@@ -170,8 +169,7 @@ def displacement(spec: AmalgamSpec, g: NormalForm, v: TreeVertex) -> int:
     return tree_distance(v, act(spec, g, v))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     verdict: str                      # "elliptic" | "hyperbolic"
     tau: int
     witness: TreeVertex
@@ -267,8 +265,7 @@ def axis_segment(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVert
     return verts
 
 
-@dataclass(frozen=True)
-class EllipticProductReport:
+class EllipticProductReport(NamedTuple):
     applicable: bool
     passed: bool
     tau: int | None

@@ -9,8 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amalgam import (
     AmalgamSpec,
@@ -55,8 +55,7 @@ GOLDEN = 1.6180339887498949
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     details: str
@@ -444,5 +443,5 @@ def run_all(seed: int = 0) -> list[CriterionResult]:
             r = fn(seed=seed + 7)
         else:
             r = fn()
-        results.append(replace(r, elapsed_s=time.perf_counter() - t0))
+        results.append(r._replace(elapsed_s=time.perf_counter() - t0))
     return results

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +169,23 @@ def test_sides_are_distinct():
     assert a.syllables[0][0] != b.syllables[0][0]
     assert {SIDE_A, SIDE_B} == {a.syllables[0][0], b.syllables[0][0]}
     assert identity_nf(spec).syllables == ()
+
+
+@pytest.mark.parametrize("entry", ALL_ENTRIES, ids=catalog_names())
+def test_spec_hash_is_the_sha256_of_the_tables(entry):
+    # the formula `make_amalgam` stores, recomputed here as the oracle
+    spec = entry.spec
+    payload = {"A": spec.A.mul, "B": spec.B.mul, "C": spec.C.mul,
+               "embA": spec.embA.image, "embB": spec.embB.image}
+    blob = json.dumps(payload, sort_keys=True, default=list).encode()
+    assert spec.spec_hash() == hashlib.sha256(blob).hexdigest()[:16]
+    assert (spec.digit_bits == max(2 * max(spec.A.order, spec.B.order),
+                                   spec.C.order - 1).bit_length())
+
+
+def test_spec_hash_pinned():
+    assert catalog_load("pgl2z").spec.spec_hash() == "dfe003bd49a7e678"
+    assert catalog_load("gl2z").spec.spec_hash() == "eb3d467b4ace3c3a"
 
 
 @settings(max_examples=300, deadline=None)

@@ -58,6 +58,29 @@ def test_cold_start_loads_only_the_layers_a_call_uses():
     assert not {"pingpong", "tree", "verify"} & after_root
 
 
+def test_no_layer_imports_dataclasses():
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        import amalgrowth
+        for m in pkgutil.iter_modules(amalgrowth.__path__):
+            if m.name != "__main__":
+                importlib.import_module("amalgrowth." + m.name)
+        from amalgrowth import (catalog_load, certify_free_monoid,
+                                enumerate_balls, parse_word, replay)
+        entry = catalog_load("c2*c3")
+        assert enumerate_balls(entry.spec, entry.default_genset, 4).sphere \\
+            == (1, 3, 6, 10, 16)
+        cert = certify_free_monoid(
+            entry.spec, [parse_word(entry, "a b"), parse_word(entry, "b a")])
+        assert replay(entry.spec, cert)
+        print("dataclasses" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
+
+
 def test_python_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "amalgrowth", "catalog"],
                           env=_child_env(), capture_output=True, text=True,

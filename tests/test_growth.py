@@ -118,7 +118,7 @@ def test_levels_match_the_reference_bfs_on_long_and_shrinking_letters(
     spec = entry.spec
     gens = make_genset(spec, [(f"g{i}", parse_word(entry, w)) for i, w in enumerate(words)])
     letters = _letters(spec, gens, inverses)
-    assert not two_blocks or max(len(l) for l in letters) > BLOCK
+    assert not two_blocks or max(len(l.syllables) for l in letters) > BLOCK
     got = list(itertools.islice(_levels(spec, letters, budget), nmax + 1))
     assert _same_spheres(spec, got, _reference_spheres(spec, letters, nmax, budget))
 

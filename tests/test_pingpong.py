@@ -1,11 +1,14 @@
 import copy
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgrowth import pingpong
 from amalgrowth.amalgam import (
     identity_nf,
     invert,
@@ -145,6 +148,68 @@ def test_certificate_json_round_trip_and_tamper_detection():
     bad = copy.deepcopy(d)
     bad["sets"][0], bad["sets"][1] = bad["sets"][1], bad["sets"][0]
     assert not replay(entry.spec, PingPongCertificate.from_json(bad))
+
+
+def test_certificate_json_round_trip_is_identical():
+    for _, d in _one_certificate_per_shape():
+        cert = PingPongCertificate.from_json(copy.deepcopy(d))
+        assert cert.to_json() == d
+        assert list(cert.to_json()) == list(PingPongCertificate._fields)
+        assert PingPongCertificate.from_json(cert.to_json()).to_json() == d
+    # a payload without `data` gets a fresh dict each time
+    bare = {k: v for k, v in d.items() if k != "data"}
+    one, two = (PingPongCertificate.from_json(bare) for _ in range(2))
+    assert one.data == {} and one.data is not two.data
+
+
+# (entry, words, sha256 of the certificate JSON or None, patterns_tried,
+# anchors_tested), recorded with the search that rebuilt every element's
+# inverse, classification and anchors under each inversion pattern: the
+# perfbench reference's monoid jobs, then four triples
+MONOID_SEARCHES = [
+    ("pgl2z", ("b^-1 b b^-1 a c", "b c^-1 a^-1 b^-1 c^-1"), "abee9614d6f62728", 1, 34),
+    ("pgl2z", ("c b^-1 a^-1", "a c^-1 b a a^-1"), "b323bd7b18fdba2e", 1, 20),
+    ("pgl2z", ("c^-1 b^-1", "a^-1 c^-1 a b^-1"), "b6e84379d8b2e396", 1, 20),
+    ("pgl2z", ("c^-1 b c^-1 a^-1 c^-1", "b c^-1"), "9a74b57a8e3c1cbe", 3, 48),
+    ("pgl2z", ("a^-1 c b", "b^-1 b c^-1 b^-1"), "86d3c9e128cc7bd0", 1, 20),
+    ("c2*c3", ("b^-1 a b^-1 a^-1", "a^-1 b^-1"), "f6affaa3665fcac4", 2, 70),
+    ("c2*c3", ("b^-1 a^-1", "a^-1 b^-1"), "37f7e310dca9ddad", 2, 40),
+    ("c2*c3", ("b a a^-1 a^-1", "b b^-1 b^-1 a"), "9be75e7dce848bf4", 1, 20),
+    ("c2*c3", ("b b^-1 b a b", "b^-1 a^-1"), "07f29ac37398b0ce", 2, 28),
+    ("c2*c3", ("a^-1 a b b a^-1", "b^-1 b b a"), "a237a1466671b32d", 1, 20),
+    ("c2*c4", ("b^-1 a^-1", "b b a^-1 b^-1"), "9bba859e6c7ef2f0", 1, 18),
+    ("c2*c4", ("a^-1 b^-1", "b b a^-1 a a"), "4e57407b22080327", 2, 40),
+    ("c2*c4", ("b a a^-1 a b", "b a^-1"), "65d708706c2af0ef", 4, 68),
+    ("c2*c4", ("b^-1 a^-1", "a^-1 b^-1 b b"), None, 4, 80),
+    ("c2*c4", ("a b a a b", "b a b a"), "f32d584b8b63b0f6", 2, 70),
+    ("c2*c5", ("b^-1 b^-1 a b^-1 a", "b a"), "6eed735a1ca63d02", 1, 30),
+    ("c2*c5", ("b a", "b a^-1 b a"), None, 4, 144),
+    ("c2*c5", ("b a^-1 b^-1 b^-1", "a^-1 b a^-1 a^-1 b"), "7df2acf9420bcd38", 1, 8),
+    ("c2*c5", ("b a b", "a^-1 a^-1 b a"), "cbade4a5e404a3c4", 4, 68),
+    ("c2*c5", ("b a", "b^-1 a^-1 b^-1 a a"), "487e3881a0a785ef", 3, 48),
+    ("pgl2z", ("b c", "a b c", "c a b"), None, 8, 168),
+    ("c2*c3", ("a b", "b a", "a b a b^-1"), None, 8, 192),
+    ("c2*c5", ("a b", "b a", "a b b"), "22282b171763a75c", 3, 64),
+    ("c2*c4", ("a b", "a b^-1", "b a b^-1 a"), None, 8, 192),
+]
+
+
+@pytest.mark.parametrize("name, words, sha, patterns, anchors", MONOID_SEARCHES)
+def test_monoid_search_matches_the_recorded_search(name, words, sha, patterns,
+                                                   anchors, monkeypatch):
+    entry = catalog_load(name)
+    built = []
+    real = pingpong._forward_anchors
+    monkeypatch.setattr(pingpong, "_forward_anchors",
+                        lambda spec, g, cls: built.append(g) or real(spec, g, cls))
+    stats = {}
+    cert = certify_free_monoid(entry.spec, _elements(entry, *words), stats=stats)
+    got = None if cert is None else hashlib.sha256(
+        json.dumps(cert.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+    assert (got, stats) == (sha, {"patterns_tried": patterns,
+                                  "anchors_tested": anchors})
+    # each (element, inversion) builds its anchors at most once
+    assert len(built) <= 2 * len(words)
 
 
 def _drop(key):

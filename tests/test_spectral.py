@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from amalgrowth.catalog import catalog_load, catalog_names
 from amalgrowth.growth import enumerate_balls
 from amalgrowth.spectral import (
     Recurrence,
+    RootEnclosure,
     WeightedAlphabet,
     _eval_over,
     _integer_poly,
@@ -185,7 +185,18 @@ def test_root_enclosures_record_bisection_steps():
                                     initial=(1, 1), guard=0)).bisection_steps == 41
     assert positive_root_from_lengths([3]).bisection_steps == 0
     # the count is a diagnostic: it does not enter equality
-    assert replace(enc, bisection_steps=0) == enc
+    assert enc._replace(bisection_steps=0) == enc
+
+
+def test_root_enclosure_equality_ignores_only_bisection_steps():
+    enc = RootEnclosure(Fraction(1), Fraction(2), bisection_steps=7)
+    same = enc._replace(bisection_steps=0)
+    assert same == enc and not same != enc and hash(same) == hash(enc)
+    assert len({enc, same}) == 1
+    for field, value in (("lo", Fraction(0)), ("hi", Fraction(3)),
+                         ("degenerate", True), ("unique_positive", False)):
+        other = enc._replace(**{field: value})
+        assert other != enc and not other == enc
 
 
 def test_descartes():
@@ -349,6 +360,20 @@ def test_count_avoiding_no_double_letter():
     counts = count_avoiding(alpha, 8)
     # avoiding "aa" over {a,b}: Fibonacci shift
     assert counts == [1, 2, 3, 5, 8, 13, 21, 34, 55]
+
+
+@pytest.mark.parametrize("symbols, forbidden, message", [
+    ((("a", 1), ("a", 2)), (), "duplicate symbol names"),
+    ((("a", 1), ("b", 0)), (), "lengths must be positive"),
+    ((("a", 1), ("b", -1)), (), "lengths must be positive"),
+    ((("a", 1), ("b", 1)), ((),), "must be nonempty"),
+    ((("a", 1), ("b", 1)), (("a", "c"),), "unknown symbol"),
+])
+def test_weighted_alphabet_rejects_invalid_input(symbols, forbidden, message):
+    with pytest.raises(ValueError, match=message):
+        WeightedAlphabet(symbols, forbidden)
+    with pytest.raises(ValueError, match=message):
+        WeightedAlphabet(symbols=symbols, forbidden=forbidden)
 
 
 def test_count_avoiding_weighted():

@@ -262,7 +262,7 @@ def make_genset(spec: AmalgamSpec, named: list[tuple[str, NormalForm]]) -> GenSe
     elements = [g for _, g in named]
     if len(set(names)) != len(names):
         raise GenSetError("duplicate generator names")
-    if len(set(g.key() for g in elements)) != len(elements):
+    if len(set(elements)) != len(elements):
         raise GenSetError("duplicate generators")
     for n, g in named:
         if is_identity(spec, g):

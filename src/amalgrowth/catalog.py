@@ -207,7 +207,7 @@ def _entry_gl2z() -> CatalogEntry:
     b = factor_nf(spec, SIDE_A, 5)
     c = factor_nf(spec, SIDE_B, 6)
     d = factor_nf(spec, SIDE_B, 7)
-    assert b.key() == d.key()
+    assert b == d
     return CatalogEntry(
         name="gl2z",
         spec=spec,
@@ -330,12 +330,12 @@ def plastic_enumerate(nmax: int) -> PlasticCounts:
     for n in range(5, nmax + 1):
         assert w[n] == w[n - 2] + w[n - 3], f"W-recurrence fails at {n}"
     entry = catalog_load("pgl2z")
-    seen: dict[tuple, str] = {}
+    seen: dict[NormalForm, str] = {}
     for f in forms:
-        key = plastic_eval(entry, f).key()
-        assert key not in seen, (
-            f"forms {seen[key]!r} and {f.letters()!r} collide")
-        seen[key] = f.letters()
+        g = plastic_eval(entry, f)
+        assert g not in seen, (
+            f"forms {seen[g]!r} and {f.letters()!r} collide")
+        seen[g] = f.letters()
     return PlasticCounts(nmax, tuple(w), tuple(c))
 
 
@@ -378,7 +378,7 @@ def plastic_normal_form(entry: CatalogEntry, g: NormalForm) -> PlasticForm:
     _, word = res
     letters = _rewrite_letters("".join(word))
     form = make_plastic(tuple(letters.split("c")))
-    if plastic_eval(entry, form).key() != g.key():
+    if plastic_eval(entry, form) != g:
         raise PlasticFormError("rewriting changed the element")  # pragma: no cover
     if form.length() != res[0]:
         raise PlasticFormError("rewriting changed the length")  # pragma: no cover

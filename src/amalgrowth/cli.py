@@ -194,8 +194,7 @@ def cmd_certify(args) -> int:
     if args.mode == "monoid":
         gens = entry.default_genset
         lengths = []
-        for w in args.elements:
-            g = parse_word(entry, w)
+        for g in elements:
             res = shortest_word(entry.spec, gens, g, 2 * len(g.syllables) + 6)
             lengths.append(res[0] if res else None)
         rep = {"lengths": lengths}

@@ -102,8 +102,8 @@ def _named_letters(spec: AmalgamSpec, gens: GenSet) -> list[tuple[str, NormalFor
     candidates = list(zip(gens.names, gens.elements))
     candidates += [(n + "^-1", invert(spec, g)) for n, g in candidates]
     for name, g in candidates:
-        if g.key() not in seen:
-            seen.add(g.key())
+        if g not in seen:
+            seen.add(g)
             named.append((name, g))
     return named
 

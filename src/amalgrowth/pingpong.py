@@ -445,25 +445,25 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
 
 def _closure(spec: AmalgamSpec, gens: list[NormalForm],
              cap: int) -> list[NormalForm] | None:
-    """All elements of the generated subgroup, sorted by `NormalForm.key`,
-    or None once it has more than `cap`: a plain BFS over `multiply`.  Right
-    multiplication by the generators alone reaches the whole subgroup when
-    it is finite (each inverse is a positive power)."""
+    """All elements of the generated subgroup, sorted, or None once it has
+    more than `cap`: a plain BFS over `multiply`.  Right multiplication by
+    the generators alone reaches the whole subgroup when it is finite (each
+    inverse is a positive power)."""
     one = identity_nf(spec)
-    seen = {one.key(): one}
+    seen = {one}
     frontier = [one]
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
                 y = multiply(spec, x, g)
-                if y.key() not in seen:
-                    seen[y.key()] = y
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
         if len(seen) > cap:
             return None
         frontier = nxt
-    return [seen[k] for k in sorted(seen)]
+    return sorted(seen)
 
 
 def _common_fixed(spec: AmalgamSpec, gens: list[NormalForm],

@@ -8,8 +8,9 @@ A vertex is canonically keyed by the syllable string of its coset: the head
 and any trailing same-side syllable are stripped.  With that convention the
 vertex set is exactly the set of alternating syllable strings, each vertex's
 parent is obtained by dropping the last syllable, and the two base vertices
-(empty key, either side) are adjacent.  Displacements d(v, g.v) are computed
-on these strings, and tree distance by walking ancestor chains.
+(empty key, either side) are adjacent.  So v's ancestor at depth n is keyed
+by the prefix v.key[:n]: geodesics, and tree distances as their lengths, come
+from the longest common prefix of two keys.
 """
 from __future__ import annotations
 
@@ -72,55 +73,41 @@ def neighbors(spec: AmalgamSpec, v: TreeVertex) -> list[TreeVertex]:
     out = []
     for t in spec.transversal(v.side).reps:
         if t == fac.identity:
-            key = v.key
-            if key and key[-1][0] == other:
-                key = key[:-1]
-            out.append(TreeVertex(other, key))
+            out.append(_parent(v) or base_vertex(other))
         else:
             out.append(TreeVertex(other, v.key + ((v.side, t),)))
     return out
 
 
+def _ancestor(v: TreeVertex, n: int) -> TreeVertex:
+    """The vertex on v's chain keyed by v.key[:n]: its side is that of the
+    next syllable of v's key, or v's own side at n == len(v.key)."""
+    return TreeVertex(v.key[n][0] if n < len(v.key) else v.side, v.key[:n])
+
+
+def _meet(u: TreeVertex, v: TreeVertex) -> int:
+    """The length of the longest common prefix of the two keys."""
+    n = 0
+    for a, b in zip(u.key, v.key):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
 def _parent(v: TreeVertex) -> TreeVertex | None:
-    if not v.key:
-        return None
-    return TreeVertex(v.key[-1][0], v.key[:-1])
+    return _ancestor(v, len(v.key) - 1) if v.key else None
 
 
 def _at_or_above(x: TreeVertex, v: TreeVertex) -> bool:
-    """Whether x is v or an ancestor of v: x's key is a prefix of v's, and
-    x's side is the one v's chain has at that length (the side of the next
-    syllable of v's key, or v's own side when the keys are equal)."""
-    n = len(x.key)
-    if v.key[:n] != x.key:
-        return False
-    return x.side == (v.side if n == len(v.key) else v.key[n][0])
+    """Whether x is v or an ancestor of v: the vertex on v's chain at x's
+    depth."""
+    return len(x.key) <= len(v.key) and _ancestor(v, len(x.key)) == x
 
 
 def tree_distance(u: TreeVertex, v: TreeVertex) -> int:
-    """Exact tree distance from the canonical keys (ancestor-chain walk).
-
-    The chain from u is extended across the base edge so that it contains
-    both roots; the first vertex of v's chain on u's chain is the median.
-    """
-    if u == v:
-        return 0
-    chain: dict[TreeVertex, int] = {}
-    node: TreeVertex | None = u
-    d = 0
-    while node is not None:
-        chain[node] = d
-        nxt = _parent(node)
-        if nxt is None:
-            other = base_vertex(SIDE_B if node.side == SIDE_A else SIDE_A)
-            chain[other] = d + 1
-        node = nxt
-        d += 1
-    node, d = v, 0
-    while node not in chain:
-        node = _parent(node)
-        d += 1
-    return d + chain[node]
+    """Exact tree distance: the length of the geodesic."""
+    return len(geodesic(u, v)) - 1
 
 
 def nearest_pair(us, vs) -> tuple[int, TreeVertex, TreeVertex]:
@@ -131,21 +118,13 @@ def nearest_pair(us, vs) -> tuple[int, TreeVertex, TreeVertex]:
 
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> list[TreeVertex]:
-    """The vertex path from u to v (inclusive), via ancestor chains."""
-    chain_u = [u]
-    while _parent(chain_u[-1]) is not None:
-        chain_u.append(_parent(chain_u[-1]))
-    other = base_vertex(SIDE_B if chain_u[-1].side == SIDE_A else SIDE_A)
-    chain_u.append(other)
-    index = {x: i for i, x in enumerate(chain_u)}
-    chain_v = [v]
-    while chain_v[-1] not in index:
-        p = _parent(chain_v[-1])
-        if p is None:
-            p = base_vertex(SIDE_B if chain_v[-1].side == SIDE_A else SIDE_A)
-        chain_v.append(p)
-    meet = chain_v[-1]
-    return chain_u[:index[meet] + 1] + list(reversed(chain_v[:-1]))
+    """The vertex path from u to v (inclusive): up u's chain to the depth of
+    the keys' common prefix, then down v's.  The two halves share their
+    meeting vertex, or, at depth 0, are the two ends of the base edge."""
+    m = _meet(u, v)
+    up = [_ancestor(u, n) for n in range(len(u.key), m - 1, -1)]
+    down = [_ancestor(v, n) for n in range(m, len(v.key) + 1)]
+    return up + down[1:] if up[-1] == down[0] else up + down
 
 
 def ball(spec: AmalgamSpec, center: TreeVertex, radius: int) -> list[TreeVertex]:

@@ -352,11 +352,11 @@ def criterion_9() -> CriterionResult:
 def _reference_spheres(spec: AmalgamSpec, letters: list[NormalForm], nmax: int,
                        budget: int | None = None) -> list[list[NormalForm]]:
     """Spheres 0..nmax of the Cayley graph of `letters` by a plain BFS over
-    `multiply` and `NormalForm.key()`: the oracle for `growth._levels`,
+    `multiply` and a set of normal forms: the oracle for `growth._levels`,
     sharing none of its code.  It stops where `_levels` does: after an empty
     sphere, or before a level that could take it past the budget."""
     ident = identity_nf(spec)
-    seen = {ident.key()}
+    seen = {ident}
     spheres = [[ident]]
     while spheres[-1] and len(spheres) <= nmax:
         if budget is not None and len(seen) + len(spheres[-1]) * len(letters) > budget:
@@ -365,8 +365,8 @@ def _reference_spheres(spec: AmalgamSpec, letters: list[NormalForm], nmax: int,
         for x in spheres[-1]:
             for l in letters:
                 y = multiply(spec, x, l)
-                if y.key() not in seen:
-                    seen.add(y.key())
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
         spheres.append(nxt)
     return spheres

@@ -234,14 +234,20 @@ def test_axis_is_a_geodesic_line_segment():
 
 
 def test_geodesic_matches_distance():
-    entry = catalog_load("gl2z")
-    verts = ball(entry.spec, BASE_A, 4)
-    for v in verts[:20]:
-        path = geodesic(BASE_A, v)
-        assert len(path) == tree_distance(BASE_A, v) + 1
-        assert path[0] == BASE_A and path[-1] == v
-        for u, w in zip(path, path[1:]):
-            assert tree_distance(u, w) == 1
+    # every pair in the ball on every entry: pairs hanging from the two ends
+    # of the base edge, and pairs whose keys share a prefix and then diverge
+    for name in catalog_names():
+        spec = catalog_load(name).spec
+        verts = ball(spec, BASE_A, 3)
+        assert {v.key[0][0] for v in verts if v.key} == {SIDE_A, SIDE_B}
+        for u in verts:
+            for v in verts:
+                d = _bfs_distance(spec, u, v)
+                assert tree_distance(u, v) == d, (name, u, v)
+                path = geodesic(u, v)
+                assert path[0] == u and path[-1] == v and len(path) == d + 1
+                for x, y in zip(path, path[1:]):
+                    assert y in neighbors(spec, x), (name, u, v)
 
 
 def test_elliptic_product_translation_length():

@@ -153,9 +153,9 @@ def _refine(chain: list[list[int]], bound: Fraction,
     For 0 <= x < y <= bound, the integer chain's sign variations (zeros
     skipped) at x minus those at y must count chain[0]'s distinct roots in
     (x, y].  [0, bound] is halved, keeping the rightmost root, until it
-    holds one root and is at most width wide; the ends are numerators over
-    bound.denominator * 2^halvings, so every sign is an integer
-    evaluation."""
+    holds one root, is at most width wide and, when chain[0] has a root at
+    0, starts right of it; the ends are numerators over bound.denominator *
+    2^halvings, so every sign is an integer evaluation."""
     a, b, den = 0, bound.numerator, bound.denominator
     va, vb = (descartes_sign_changes([_eval_over(q, x, den) for q in chain])
               for x in (a, b))
@@ -163,8 +163,10 @@ def _refine(chain: list[list[int]], bound: Fraction,
     if total == 0:
         return None
     steps = 0
-    # more than one root inside, or (b - a) / den > width
-    while va - vb > 1 or (b - a) * width.denominator > width.numerator * den:
+    # more than one root inside, (b - a) / den > width, or the root at 0
+    # inside
+    while (va - vb > 1 or (b - a) * width.denominator > width.numerator * den
+           or a == 0 == chain[0][0]):
         steps += 1
         a, b, den = 2 * a, 2 * b, 2 * den
         mid = (a + b) // 2

@@ -167,6 +167,13 @@ def test_growth_report_level_counters(tmp_path, capsys):
     report = json.loads((tmp_path / "t.csv.json").read_text())
     assert sum(report["level_packed"]) < sum(report["level_new"])
     assert report["level_compared"] == [0] * 17
+    # pgl2z's letters are factor-generated over C = C2, so its key carries
+    # the word length as well
+    assert cli.main(["growth", "pgl2z", "--nmax", "16", "--format", "json",
+                     "--out", str(csv)]) == 0
+    report = json.loads((tmp_path / "t.csv.json").read_text())
+    assert report["level_compared"] == [0] * 17
+    assert report["level_products"] == report["level_new"]
     assert capsys.readouterr().out == ""
 
 

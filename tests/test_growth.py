@@ -13,13 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgrowth import cli, growth, verify
-from amalgrowth.amalgam import StepTable, encode_flat, identity_nf, invert, multiply
+from amalgrowth.amalgam import (
+    SIDE_A,
+    SIDE_B,
+    StepTable,
+    encode_flat,
+    factor_nf,
+    identity_nf,
+    invert,
+    make_amalgam,
+    multiply,
+)
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import (
     BLOCK,
     DEFAULT_BUDGET,
     GenSetError,
     _levels,
+    _MinPlus,
     _named_letters,
     _Psi,
     _shortlex_moves,
@@ -31,6 +42,7 @@ from amalgrowth.growth import (
     shortest_word,
     sphere_stream,
 )
+from amalgrowth.groups import cyclic, verify_embedding
 from amalgrowth.spectral import fit_rate
 from amalgrowth.verify import _random_genset, _reference_spheres, _same_spheres
 
@@ -62,11 +74,16 @@ def test_sphere_stream_matches_enumerate_balls():
 
 
 def _random_weights(seed):
-    """A stand-in for `growth._weights`: random non-negative weights for
-    every digit, the 0 digit included."""
+    """A stand-in for `growth._weights`: a random non-negative start vector
+    and min-plus table for every digit, the 0 digit included, whatever C."""
     def weights(spec, letters):
         rng = random.Random(seed)
-        return [rng.randrange(5) for _ in range(1 << spec.digit_bits)]
+        n = spec.C.order
+
+        def vector():
+            return tuple(rng.randrange(5) for _ in range(n))
+        return vector(), [tuple(vector() for _ in range(n))
+                          for _ in range(1 << spec.digit_bits)]
     return weights
 
 
@@ -85,7 +102,7 @@ def _letters(spec, gens, inverses=True):
 def test_levels_match_the_reference_bfs(name, seed, budget, weighted):
     # criterion 7's random generating sets, inverses adjoined: the engine
     # keeps three spheres; the dedupe key carries psi of the base, a
-    # function of the base, so random weights keep it exact
+    # function of the base, so random min-plus tables keep it exact
     entry = catalog_load(name)
     rng = random.Random(seed)
     gens = None
@@ -148,7 +165,7 @@ def test_digit_weights_sum_to_word_length_on_free_product_sets(name, inverses):
     entry = catalog_load(name)
     spec = entry.spec
     letters = _letters(spec, entry.default_genset, inverses)
-    psi = _Psi(_weights(spec, letters), spec.digit_bits)
+    psi = _Psi([m[0][0] for m in _weights(spec, letters)[1]], spec.digit_bits)
     for n, sphere in enumerate(_reference_spheres(spec, letters, 10)):
         assert {psi.of(encode_flat(spec, x)) for x in sphere} == {n}
     # so with inverses no key of a new sphere is a key of an older one, and
@@ -158,13 +175,82 @@ def test_digit_weights_sum_to_word_length_on_free_product_sets(name, inverses):
         assert table.compared == (0,) * 17
 
 
-@pytest.mark.parametrize("name", ["c2*c3", "pgl2z", "gl2z"])
+def _assert_tables_read_word_length(spec, letters, nmax):
+    # the length read from the tables, the min-plus product over the
+    # syllables taken at the head, is the sphere index in a plain BFS over
+    # multiply; the engine's memoised product gives the same vector
+    start, tables = _weights(spec, letters)
+    psi = _MinPlus(start, tables, spec.digit_bits)
+    for n, sphere in enumerate(_reference_spheres(spec, letters, nmax)):
+        for x in sphere:
+            v = start
+            for side, rep in x.syllables:
+                m = tables[1 + side + 2 * rep]
+                v = tuple(min(a + row[c] for a, row in zip(v, m))
+                          for c in range(len(v)))
+            assert v[x.head] == n
+            assert psi.vecs[psi.of(encode_flat(spec, x) >> spec.digit_bits)] == v
+
+
+@pytest.mark.parametrize("name", ["c2*c4", "c2*c5", "c2*c2xc2", "pgl2z"])
+def test_weight_tables_read_word_length(name):
+    # pgl2z's {a, b, c}: a lies in C = C2 and generates it, b and c are one
+    # syllable each, and a has length 1 in A, B and C
+    entry = catalog_load(name)
+    spec = entry.spec
+    _assert_tables_read_word_length(
+        spec, _letters(spec, entry.default_genset), 10)
+    # so no key of a new sphere is a key of an older one, and dedupe tests
+    # no base
+    assert enumerate_balls(spec, entry.default_genset, 16).compared == (0,) * 17
+
+
+def test_letters_in_c_go_first_on_factor_generated_sets():
+    # with c before a in the shortlex order the window-3 filter misses
+    # a c b a = c a c b and forms about a third more products than there
+    # are new elements; with a (the letter in C) first it forms none extra
+    entry = catalog_load("pgl2z")
+    named = list(zip(entry.default_genset.names, entry.default_genset.elements))
+    for perm in itertools.permutations(named):
+        table = enumerate_balls(entry.spec, make_genset(entry.spec, list(perm)), 16)
+        assert table.products == table.sphere
+        assert table.compared == (0,) * 17
+
+
+@pytest.mark.parametrize("name", ["c2*c3", "gl2z"])
 def test_digit_weights_are_zero_where_length_is_not_additive(name):
-    # c2*c3's {a, ba} has a two-syllable letter; pgl2z and gl2z amalgamate
-    # over a nontrivial C
+    # c2*c3's {a, ba} has a two-syllable letter; gl2z's {a, b, c} has b
+    # alone in C = C2 x C2, which it does not generate
     entry = catalog_load(name)
     letters = _letters(entry.spec, entry.default_genset)
-    assert not any(_weights(entry.spec, letters) or ())
+    assert _weights(entry.spec, letters) is None
+
+
+def test_weight_tables_refuse_sets_that_are_not_factor_generated():
+    # gl2z's {a, b, c} is refused (above): b = d generates only half of C;
+    # adding (ab)^2, the rotation square in C, completes the letters in C,
+    # with the same lengths there
+    entry = catalog_load("gl2z")
+    spec, alpha = entry.spec, entry.alphabet
+    gens = [alpha[k] for k in "abc"]
+    r2 = parse_word(entry, "a b a b")
+    assert r2.syllables == ()
+    assert _weights(spec, _letters(spec, make_genset(
+        spec, list(zip("abcr", gens + [r2]))))) is not None
+    # C12 *_{C6} C12 with C = <h^2>: over {h^2, h^3, k}, h^6 has length 2
+    # in A (h^3 h^3) but 3 in C (h^2 h^2 h^2), so the syllable tables would
+    # miss the geodesics through h^3; over {h^2, h, k} the lengths agree
+    A, C = cyclic(12), cyclic(6)
+    image = [2 * i for i in range(6)]
+    spec = make_amalgam(A, A, C, verify_embedding(C, A, image),
+                        verify_embedding(C, A, image))
+    h2, h3, h, k = (factor_nf(spec, SIDE_A, 2), factor_nf(spec, SIDE_A, 3),
+                    factor_nf(spec, SIDE_A, 1), factor_nf(spec, SIDE_B, 1))
+    assert h2.syllables == ()
+    refused = _letters(spec, make_genset(spec, [("h2", h2), ("h3", h3), ("k", k)]))
+    assert _weights(spec, refused) is None
+    letters = _letters(spec, make_genset(spec, [("h2", h2), ("h", h), ("k", k)]))
+    _assert_tables_read_word_length(spec, letters, 6)
 
 
 def test_levels_reject_letters_not_closed_under_inversion():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amalgrowth.catalog import catalog_load, catalog_names
@@ -131,6 +131,9 @@ scales = st.one_of(st.fractions(Fraction(1, 4), 5, max_denominator=4),
            st.fractions(-4, 4, max_denominator=3),
            st.fractions(Fraction(1, 3), 4, max_denominator=3))),
        zeros=st.integers(0, 2), scale=scales, width=widths)
+# z (z - 1/4)^2 / 4 at width 1/3: [0, 5/16] held the root at 0 as well
+@example(roots=[(Fraction(0), 1), (Fraction(1, 4), 2)], quadratic=None,
+         zeros=0, scale=Fraction(1, 4), width=Fraction(1, 3))
 def test_sturm_path_encloses_the_largest_known_root(roots, quadratic, zeros,
                                                     scale, width):
     p = _known_roots_poly(scale, zeros, roots, quadratic)

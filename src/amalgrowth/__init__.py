@@ -6,6 +6,7 @@ certificates, and a catalog of ready-made specifications."""
 __version__ = "0.1.0"
 
 import importlib
+import types
 
 from .amalgam import (
     AmalgamSpec,
@@ -42,6 +43,11 @@ _LAZY = {
                     "tree"),
 }
 
+# the names imported above and the lazy ones; not the submodules themselves
+__all__ = sorted({"__version__", *_LAZY, *(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType))})
+
 
 def __getattr__(name: str):
     if name not in _LAZY:
@@ -53,53 +59,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
-
-
-__all__ = [
-    "AmalgamSpec",
-    "FiniteGroup",
-    "FittedRate",
-    "GenSet",
-    "GrowthTable",
-    "NormalForm",
-    "PingPongCertificate",
-    "Recurrence",
-    "RootEnclosure",
-    "TreeVertex",
-    "WeightedAlphabet",
-    "Word",
-    "__version__",
-    "axis_segment",
-    "build_group",
-    "catalog_load",
-    "catalog_names",
-    "certify_free_monoid",
-    "certify_free_split",
-    "classify",
-    "count_avoiding",
-    "cyclic",
-    "cyclic_reduce",
-    "dihedral",
-    "direct_product",
-    "dominant_root",
-    "enumerate_balls",
-    "fit_rate",
-    "fit_recurrence",
-    "fixed_set",
-    "identity_nf",
-    "invert",
-    "is_identity",
-    "largest_positive_root",
-    "lpv_bound",
-    "make_amalgam",
-    "make_genset",
-    "multiply",
-    "nf_from_json",
-    "nf_to_json",
-    "parse_word",
-    "positive_root_from_lengths",
-    "rate",
-    "reduce_word",
-    "replay",
-    "shortest_word",
-]

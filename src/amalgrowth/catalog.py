@@ -346,45 +346,6 @@ def plastic_eval(entry: CatalogEntry, form: PlasticForm) -> NormalForm:
     return acc
 
 
-def _rewrite_letters(s: str) -> str:
-    """Confluent passes to the letter-minimal shape: cancel doubled letters,
-    order the commuting pair as ab, and flatten c-a-c sandwiches to a-c-a.
-    Terminates because (#c, length, #ba-inversions) drops lexicographically.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for pat, rep in (("aa", ""), ("bb", ""), ("cc", ""),
-                         ("cac", "aca"), ("ba", "ab")):
-            i = s.find(pat)
-            if i >= 0:
-                s = s[:i] + rep + s[i + len(pat):]
-                changed = True
-                break
-    return s
-
-
-def plastic_normal_form(entry: CatalogEntry, g: NormalForm) -> PlasticForm:
-    """The letter-minimal form of g; evaluating it reproduces g and its
-    length is the word length over {a, b, c}."""
-    from .growth import shortest_word
-
-    gens = make_genset(entry.spec,
-                       [(n, entry.alphabet[n]) for n in ("a", "b", "c")])
-    bound = 3 * len(g.syllables) + 4
-    res = shortest_word(entry.spec, gens, g, bound)
-    if res is None:  # pragma: no cover - bound is ample
-        raise PlasticFormError("element outside the search ball")
-    _, word = res
-    letters = _rewrite_letters("".join(word))
-    form = make_plastic(tuple(letters.split("c")))
-    if plastic_eval(entry, form) != g:
-        raise PlasticFormError("rewriting changed the element")  # pragma: no cover
-    if form.length() != res[0]:
-        raise PlasticFormError("rewriting changed the length")  # pragma: no cover
-    return form
-
-
 def parse_word(entry: CatalogEntry, text: str) -> NormalForm:
     """Reduce a whitespace-separated word over the entry's alphabet."""
     return reduce_word(entry.spec, Word.parse(text), entry.alphabet)

@@ -43,9 +43,6 @@ class FiniteGroup(NamedTuple):
             for x in range(self.order) for y in range(self.order)
         )
 
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
 
 def _generators(mul: list[list[int]], identity: int) -> list[int]:
     """A set generating the table under its own operation, greedily: each

@@ -8,17 +8,15 @@ half-tree with known anchor, so disjointness and "g maps this set into that
 set" reduce to a constant number of exact key-prefix tests.
 
 `replay` derives from the payload's kind, elements and sets the checks that
-the ping-pong lemma needs for its shape (`_obligations`), requires each of
-them to be listed, and re-runs every listed check.  It also binds the rest of
-the statement: the conclusion must be the text the payload's own fields give
-(`_conclusion`), the subgroup orders in `data` must be those of the generated
-subgroups, and a monoid element's `inverted` flag must match its role.
-Auxiliary checks (fixed vertices, vertices off an axis) are re-run when
-present but never required; a check of any other kind is rejected.  The
-remaining fields are unchecked hints: `radius` (the
-search radius), and in `data` the power `ell` (the certified right element is
-y x^ell for the input y), the distances, translation lengths and the copy of
-the inversion pattern.
+the ping-pong lemma needs for its shape and the conclusion they prove
+(`_obligations`), requires each of those checks to be listed, and re-runs
+every listed check; a check of a kind outside `CHECKS` is rejected.  It also
+binds the rest of the statement: the conclusion must be the derived one, the
+subgroup orders in `data` must be those of the generated subgroups, and a
+monoid element's `inverted` flag must match its role.  The remaining fields
+are unchecked hints: `radius` (the search radius), and in `data` the power
+`ell` (the certified right element is y x^ell for the input y), the
+distances, translation lengths and the copy of the inversion pattern.
 
 Success is a proof; failure is always inconclusive (never a refutation).
 """
@@ -132,14 +130,10 @@ class PingPongCertificate(NamedTuple):
 
 
 def _check(kind: str, **fields) -> dict:
-    """The JSON dict of a check; normal forms and vertices are serialised."""
+    """The JSON dict of a check; normal forms are serialised."""
     out = {"check": kind}
     for name, value in fields.items():
-        if isinstance(value, NormalForm):
-            value = nf_to_json(value)
-        elif isinstance(value, TreeVertex):
-            value = vertex_json(value)
-        out[name] = value
+        out[name] = nf_to_json(value) if isinstance(value, NormalForm) else value
     return out
 
 
@@ -154,33 +148,22 @@ def _hyperbolic(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
     return cls.hyperbolic and cls.tau == c["tau"]
 
 
-def _fixes_vertex(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
-    v = _vertex_from_json(spec, c["v"])
-    return act(spec, nf_from_json(spec, c["g"]), v) == v
-
-
-def _not_on_axis(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
-    return displacement(spec, nf_from_json(spec, c["g"]),
-                        _vertex_from_json(spec, c["v"])) != c["tau"]
-
-
 # check kind -> decision from (spec, the certificate's sets, the check's dict)
 CHECKS = {
     "disjoint": lambda spec, sets, c: half_trees_disjoint(
         *[sets[i] for i in c["sets"]]),
     "maps_into": _maps_into,
     "hyperbolic": _hyperbolic,
-    "fixes_vertex": _fixes_vertex,
-    "not_on_axis": _not_on_axis,
 }
 
 
 def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
-                 sets: list[dict], data: dict) -> list[dict] | None:
+                 sets: list[dict], data: dict) -> tuple[list[dict], str] | None:
     """The checks the ping-pong lemma (de la Harpe, Topics in Geometric Group
-    Theory, II.B) needs for the payload's shape, or None when it fits none
-    (which includes a monoid element whose `inverted` flag disagrees with its
-    role, and a `data` order other than its subgroup's).
+    Theory, II.B) needs for the payload's shape and the conclusion they
+    prove, or None when it fits no shape (which includes a monoid element
+    whose `inverted` flag disagrees with its role, and a `data` order other
+    than its subgroup's).
 
     The shape is read from the kind, the element roles and the set labels:
     - free monoid x1..xk on X1..Xk: X_i pairwise disjoint, x_i(X_j) in X_i
@@ -212,7 +195,8 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
                 if i < j:
                     out.append(_check("disjoint", sets=[i, j]))
             out.append(_check("hyperbolic", g=g, tau=elements[i]["tau"]))
-        return out
+        return out, ("positive words in {" + ", ".join(roles)
+                     + "} are pairwise distinct (free monoid)")
     n_left = roles.count("left")
     if (kind != "free-product-split" or not 0 < n_left < k
             or roles != ["left"] * n_left + ["right"] * (k - n_left)):
@@ -235,7 +219,8 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
             prod = multiply(spec, left[0], right[0])
             out.append(_check("hyperbolic", g=prod,
                               tau=classify(spec, prod).tau))
-        return out
+        return out, (f"the generated subgroups (orders {len(GX)}, {len(GY)}) "
+                     "generate their free product")
     if labels == ["X", "Y+", "Y-"] and len(right) == 1:
         GX = _closure(spec, left, SUBGROUP_CAP)
         if GX is None or data["left_order"] != len(GX):
@@ -251,7 +236,8 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
             if not is_identity(spec, g):
                 out += [_check("maps_into", g=g, source=1, target=0),
                         _check("maps_into", g=g, source=2, target=0)]
-        return out
+        return out, (f"the finite subgroup (order {len(GX)}) and the "
+                     "hyperbolic cyclic group generate their free product")
     if labels == ["X+", "X-", "Y+", "Y-"] and k == 2:
         x, y = nfs
         out = disjoint + [_check("hyperbolic", g=g, tau=e["tau"])
@@ -263,44 +249,29 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
             repelling = target ^ 1
             out += [_check("maps_into", g=g, source=src, target=target)
                     for src in range(4) if src != repelling]
-        return out
+        return out, ("the two hyperbolic cyclic groups generate their free "
+                     "product")
     return None
-
-
-def _conclusion(kind: str, elements: list[dict], sets: list[dict],
-                data: dict) -> str:
-    """What a certificate of a shape `_obligations` accepts proves, from the
-    payload's own roles, set labels and subgroup orders."""
-    labels = [s["label"] for s in sets]
-    if kind == "free-monoid":
-        return ("positive words in {" + ", ".join(e["role"] for e in elements)
-                + "} are pairwise distinct (free monoid)")
-    if labels == ["X", "Y"]:
-        return (f"the generated subgroups (orders {data['left_order']}, "
-                f"{data['right_order']}) generate their free product")
-    if labels == ["X", "Y+", "Y-"]:
-        return (f"the finite subgroup (order {data['left_order']}) and the "
-                "hyperbolic cyclic group generate their free product")
-    return "the two hyperbolic cyclic groups generate their free product"
 
 
 def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
     """Accept a certificate iff it is for this spec, its sets are edges,
-    every check its shape requires (`_obligations`) is listed, every listed
-    check holds and its conclusion is the one its fields imply
-    (`_conclusion`).  A malformed payload is rejected, never raised on."""
+    every check its shape requires is listed, every listed check holds and
+    its conclusion is the one its shape proves (`_obligations`).  A
+    malformed payload is rejected, never raised on."""
     if spec.spec_hash() != cert.spec_hash:
         return False
     try:
         sets = [HalfTree(_vertex_from_json(spec, s["u"]),
                          _vertex_from_json(spec, s["w"])) for s in cert.sets]
-        required = _obligations(spec, cert.kind, cert.elements, cert.sets,
-                                cert.data)
+        obligations = _obligations(spec, cert.kind, cert.elements, cert.sets,
+                                   cert.data)
+        if obligations is None:
+            return False
+        required, conclusion = obligations
         # the sets must be edges before any check reads them: membership
         # (`HalfTree.contains`) is exact only on edges
-        return (required is not None
-                and cert.conclusion == _conclusion(cert.kind, cert.elements,
-                                                   cert.sets, cert.data)
+        return (cert.conclusion == conclusion
                 and all(tree_distance(s.u, s.w) == 1 for s in sets)
                 and all(c in cert.checks for c in required)
                 and all(CHECKS[c["check"]](spec, sets, c) for c in cert.checks))
@@ -319,26 +290,24 @@ def _diag(diagnostics: list[str] | None, msg: str) -> None:
 
 def _certificate(spec: AmalgamSpec, kind: str, radius: int,
                  elements: list[dict], sets: list[tuple[str, HalfTree]],
-                 auxiliary: list[dict], data: dict,
+                 data: dict,
                  diagnostics: list[str] | None) -> PingPongCertificate | None:
-    """The certificate whose checks are its shape's obligations followed by
-    the auxiliary checks, or None when one of them fails."""
+    """The certificate whose checks are its shape's obligations, or None
+    when one of them fails."""
     sets_json = [{"label": label, "u": vertex_json(h.u), "w": vertex_json(h.w)}
                  for label, h in sets]
     halves = [h for _, h in sets]
-    checks = _obligations(spec, kind, elements, sets_json, data)
-    if checks is None:
+    obligations = _obligations(spec, kind, elements, sets_json, data)
+    if obligations is None:
         _diag(diagnostics, "the payload fits no certificate shape")
         return None
-    checks += auxiliary
+    checks, conclusion = obligations
     for c in checks:
         if not CHECKS[c["check"]](spec, halves, c):
             _diag(diagnostics, f"structural check {c['check']} failed")
             return None
     return PingPongCertificate(kind, spec.spec_hash(), radius, elements,
-                               sets_json, checks,
-                               _conclusion(kind, elements, sets_json, data),
-                               data)
+                               sets_json, checks, conclusion, data)
 
 
 def _axis_window(spec: AmalgamSpec, g: NormalForm,
@@ -434,7 +403,7 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             spec, "free-monoid", radius,
             [{"role": names[i], "nf": nf_to_json(els[i]),
               "inverted": pattern[i], "tau": cls[i].tau} for i in range(k)],
-            [(f"X{i+1}", h) for i, h in enumerate(chosen)], [],
+            [(f"X{i+1}", h) for i, h in enumerate(chosen)],
             {"inverted": list(pattern),
              "translation_lengths": [c.tau for c in cls]},
             diagnostics)
@@ -501,9 +470,6 @@ def _split_elliptic_elliptic(
         return None
     d, p, q = nearest_pair(fx, fy)
     m, mp = _middle_edge(geodesic(p, q))
-    auxiliary = (
-        [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
-        + [_check("fixes_vertex", g=h, v=q) for h in GY if not is_identity(spec, h)])
     data = {"left_order": len(GX), "right_order": len(GY),
             "fixed_distance": d}
     data.update(extra_data)
@@ -512,7 +478,7 @@ def _split_elliptic_elliptic(
         ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
          + [{"role": "right", "nf": nf_to_json(h)} for h in gy]),
         [("X", HalfTree(mp, m)), ("Y", HalfTree(m, mp))],  # X holds p, Y q
-        auxiliary, data, diagnostics)
+        data, diagnostics)
 
 
 def _split_elliptic_hyperbolic(
@@ -542,9 +508,6 @@ def _split_elliptic_hyperbolic(
     if len({p1, f, r}) != 3:
         _diag(diagnostics, "axis and fixed-set directions collide")
         return None
-    auxiliary = (
-        [_check("fixes_vertex", g=g, v=p) for g in GX if not is_identity(spec, g)]
-        + [_check("not_on_axis", g=y, tau=tau, v=v) for v in fx])
     data = {"left_order": len(GX), "translation_length": tau,
             "axis_distance": d}
     data.update(extra_data)
@@ -553,7 +516,7 @@ def _split_elliptic_hyperbolic(
         ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
          + [{"role": "right", "nf": nf_to_json(y), "tau": tau}]),
         [("X", HalfTree(q, p1)), ("Y+", HalfTree(q, f)), ("Y-", HalfTree(q, r))],
-        auxiliary, data, diagnostics)
+        data, diagnostics)
 
 
 def _split_hyperbolic_hyperbolic(
@@ -577,7 +540,7 @@ def _split_hyperbolic_hyperbolic(
         [{"role": "left", "nf": nf_to_json(x), "tau": xtau},
          {"role": "right", "nf": nf_to_json(y), "tau": ytau}],
         [(label, HalfTree(q, end)) for label, q, end
-         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)], [],
+         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)],
         {"axis_distance": d, "translation_lengths": [xtau, ytau]},
         diagnostics)
 

@@ -146,16 +146,17 @@ def _eval_over(q: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _refine(chain: list[list[int]], bound: Fraction,
-            width: Fraction) -> RootEnclosure | None:
+def _refine(chain: list[list[int]], bound: Fraction, width: Fraction,
+            root_at_0: bool) -> RootEnclosure | None:
     """Enclosure of the largest root in (0, bound] of chain[0], or None.
 
     For 0 <= x < y <= bound, the integer chain's sign variations (zeros
     skipped) at x minus those at y must count chain[0]'s distinct roots in
     (x, y].  [0, bound] is halved, keeping the rightmost root, until it
-    holds one root, is at most width wide and, when chain[0] has a root at
-    0, starts right of it; the ends are numerators over bound.denominator *
-    2^halvings, so every sign is an integer evaluation."""
+    holds one root, is at most width wide and, when the polynomial has a
+    root at 0 (`root_at_0`), starts right of it; the ends are numerators
+    over bound.denominator * 2^halvings, so every sign is an integer
+    evaluation."""
     a, b, den = 0, bound.numerator, bound.denominator
     va, vb = (descartes_sign_changes([_eval_over(q, x, den) for q in chain])
               for x in (a, b))
@@ -166,7 +167,7 @@ def _refine(chain: list[list[int]], bound: Fraction,
     # more than one root inside, (b - a) / den > width, or the root at 0
     # inside
     while (va - vb > 1 or (b - a) * width.denominator > width.numerator * den
-           or a == 0 == chain[0][0]):
+           or a == 0 and root_at_0):
         steps += 1
         a, b, den = 2 * a, 2 * b, 2 * den
         mid = (a + b) // 2
@@ -211,17 +212,20 @@ def largest_positive_root(p, *, width: Fraction = DEFAULT_WIDTH) -> RootEnclosur
     has exactly one positive root, and [q, sign of q's leading coefficient]
     is a chain for `_refine` on [0, Cauchy bound of q]: one variation left
     of the root, none at or right of it.  Otherwise the chain is the Sturm
-    chain of p's squarefree part, on its Cauchy bound.
+    chain of p's squarefree part, on its Cauchy bound.  On both paths the
+    enclosure excludes a root of p at 0.
     """
     q = poly_trim(_integer_poly([Fraction(c) for c in p]))
     if len(q) <= 1:
         return None
+    root_at_0 = q[0] == 0
     if descartes_sign_changes(q) == 1:
         while q[0] == 0:
             q = q[1:]
-        return _refine([q, [1 if q[-1] > 0 else -1]], root_upper_bound(q), width)
+        return _refine([q, [1 if q[-1] > 0 else -1]], root_upper_bound(q),
+                       width, root_at_0)
     chain = _squarefree_sturm_chain(q)
-    return _refine(chain, root_upper_bound(chain[0]), width)
+    return _refine(chain, root_upper_bound(chain[0]), width, root_at_0)
 
 
 # ---------------------------------------------------------------------------

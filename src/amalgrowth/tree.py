@@ -152,7 +152,6 @@ class Classification(NamedTuple):
     verdict: str                      # "elliptic" | "hyperbolic"
     tau: int
     witness: TreeVertex
-    witness_image: TreeVertex
     radius: int | None = None
     cross_checked: bool = False
 
@@ -167,7 +166,8 @@ class Classification(NamedTuple):
 
 def classify(spec: AmalgamSpec, g: NormalForm,
              radius: int | None = None) -> Classification:
-    """Elliptic/hyperbolic verdict with translation length and witnesses.
+    """Elliptic/hyperbolic verdict with translation length and a witness
+    vertex (fixed by g, or on its axis).
 
     Primary path: cyclic reduction.  A core of syllable length <= 1 lies in a
     factor up to conjugacy (elliptic); otherwise the core is alternating with
@@ -185,11 +185,11 @@ def classify(spec: AmalgamSpec, g: NormalForm,
             w = act(spec, conj, BASE_A)
         else:
             w = act(spec, conj, base_vertex(core.syllables[0][0]))
-        cls = Classification("elliptic", 0, w, w)
+        cls = Classification("elliptic", 0, w)
     else:
         assert n % 2 == 0, "translation lengths on the bipartite tree are even"
         w = act(spec, conj, BASE_A)
-        cls = Classification("hyperbolic", n, w, act(spec, g, w))
+        cls = Classification("hyperbolic", n, w)
     if radius is None:
         return cls
     needed = 2 * len(g.syllables)
@@ -200,8 +200,7 @@ def classify(spec: AmalgamSpec, g: NormalForm,
             raise AssertionError(
                 f"classification cross-check failed: ball minimum {m}, "
                 f"cyclic reduction gives {cls.tau}")
-    return Classification(cls.verdict, cls.tau, cls.witness, cls.witness_image,
-                          radius=radius, cross_checked=verified)
+    return cls._replace(radius=radius, cross_checked=verified)
 
 
 class VerdictError(ValueError):

@@ -1,6 +1,6 @@
 import pytest
 
-from amalgrowth.amalgam import is_identity, multiply
+from amalgrowth.amalgam import is_identity, make_genset, multiply
 from amalgrowth.catalog import (
     PlasticFormError,
     UnknownEntryError,
@@ -11,9 +11,39 @@ from amalgrowth.catalog import (
     plastic_enumerate,
     plastic_eval,
     plastic_forms,
-    plastic_normal_form,
 )
-from amalgrowth.growth import enumerate_balls
+from amalgrowth.growth import enumerate_balls, shortest_word
+
+
+def _rewrite_letters(s: str) -> str:
+    """Confluent passes to the letter-minimal shape: cancel doubled letters,
+    order the commuting pair as ab, and flatten c-a-c sandwiches to a-c-a.
+    Terminates because (#c, length, #ba-inversions) drops lexicographically.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for pat, rep in (("aa", ""), ("bb", ""), ("cc", ""),
+                         ("cac", "aca"), ("ba", "ab")):
+            i = s.find(pat)
+            if i >= 0:
+                s = s[:i] + rep + s[i + len(pat):]
+                changed = True
+                break
+    return s
+
+
+def plastic_normal_form(entry, g):
+    """Oracle: the letter-minimal form of g, from a shortest word over
+    {a, b, c}; evaluating it reproduces g and its length is g's word
+    length."""
+    gens = make_genset(entry.spec,
+                       [(n, entry.alphabet[n]) for n in ("a", "b", "c")])
+    length, word = shortest_word(entry.spec, gens, g, 3 * len(g.syllables) + 4)
+    form = make_plastic(tuple(_rewrite_letters("".join(word)).split("c")))
+    assert plastic_eval(entry, form) == g
+    assert form.length() == length
+    return form
 
 
 def test_catalog_names_and_load():

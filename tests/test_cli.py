@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,9 @@ def _json_out(capsys):
 
 def test_every_public_name_resolves():
     assert [n for n in amalgrowth.__all__ if not hasattr(amalgrowth, n)] == []
+    # the submodules and `importlib` are attributes, not public names
+    assert [n for n in amalgrowth.__all__
+            if isinstance(getattr(amalgrowth, n), types.ModuleType)] == []
     star: dict = {}
     exec("from amalgrowth import *", star)
     assert all(star[n] is getattr(amalgrowth, n) for n in amalgrowth.__all__)

@@ -37,8 +37,11 @@ from amalgrowth.tree import (
     TreeVertex,
     act,
     ball,
+    classify,
+    displacement,
     neighbors,
     tree_distance,
+    vertex_json,
 )
 
 
@@ -368,14 +371,49 @@ def test_maps_into_checks_hold_pointwise_on_a_ball():
                 assert tree_distance(gv, w2) < tree_distance(gv, u2), (c, v)
 
 
-def test_replay_needs_every_structural_check_and_no_auxiliary_one():
+def test_checks_are_the_structural_kinds():
+    assert set(pingpong.CHECKS) == STRUCTURAL
+
+
+def test_replay_needs_every_listed_check():
     for entry, d in _one_certificate_per_shape():
         assert replay(entry.spec, PingPongCertificate.from_json(d))
+        assert {c["check"] for c in d["checks"]} <= STRUCTURAL
         for i, check in enumerate(d["checks"]):
             mutant = copy.deepcopy(d)
             del mutant["checks"][i]
-            accepted = replay(entry.spec, PingPongCertificate.from_json(mutant))
-            assert accepted is (check["check"] not in STRUCTURAL), check
+            assert not replay(entry.spec, PingPongCertificate.from_json(mutant)), check
+
+
+def _older_auxiliary_check(spec, d, kind):
+    """A check that holds, of a kind older split certificates listed beside
+    their obligations: the left element fixes its witness vertex v
+    (`fixes_vertex`), or v is off the right element's axis
+    (`not_on_axis`)."""
+    x = nf_from_json(spec, d["elements"][0]["nf"])
+    v = classify(spec, x).witness
+    assert act(spec, x, v) == v
+    if kind == "fixes_vertex":
+        return {"check": kind, "g": d["elements"][0]["nf"], "v": vertex_json(v)}
+    y = nf_from_json(spec, d["elements"][-1]["nf"])
+    tau = classify(spec, y).tau
+    assert tau > 0 and displacement(spec, y, v) != tau
+    return {"check": kind, "g": d["elements"][-1]["nf"], "tau": tau,
+            "v": vertex_json(v)}
+
+
+@pytest.mark.parametrize("shape, kind", [
+    (1, "fixes_vertex"), (2, "fixes_vertex"), (3, "fixes_vertex"),
+    (3, "not_on_axis"),
+], ids=["X-Y", "X-Y-power", "X-Y+-Y-", "X-Y+-Y-not-on-axis"])
+def test_replay_rejects_the_auxiliary_checks_of_older_split_certificates(
+        shape, kind):
+    entry, d = _one_certificate_per_shape()[shape]
+    assert d["kind"] == "free-product-split"
+    assert replay(entry.spec, PingPongCertificate.from_json(d))
+    older = copy.deepcopy(d)
+    older["checks"].append(_older_auxiliary_check(entry.spec, d, kind))
+    assert not replay(entry.spec, PingPongCertificate.from_json(older))
 
 
 def _paths(node, path=()):

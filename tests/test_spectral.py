@@ -412,10 +412,11 @@ def _reference_root(p, width):
     """(lo, hi, steps) of `largest_positive_root` on a polynomial with one
     sign change, with every sign taken by Fraction Horner: double the
     bracket from the Cauchy bound until it changes sign, then halve it to
-    the width."""
+    the width and, when p has a root at 0, until it starts right of 0."""
     p = [Fraction(c) for c in p]
     while p[-1] == 0:
         p.pop()
+    root_at_0 = p[0] == 0
     while p[0] == 0:
         p = p[1:]
     positive_at_0 = p[0] > 0
@@ -425,7 +426,7 @@ def _reference_root(p, width):
     if _horner(p, hi) == 0:
         return hi, hi, 0
     steps = 0
-    while hi - lo > width:
+    while hi - lo > width or lo == 0 and root_at_0:
         steps += 1
         mid = (lo + hi) / 2
         fm = _horner(p, mid)
@@ -463,6 +464,10 @@ fractions = st.fractions(min_value=0, max_value=20, max_denominator=12)
 
 
 @settings(max_examples=300, deadline=None)
+# z (z - 1/10) at width 1/3: the enclosure once was [0, 11/40], which also
+# holds the root at 0
+@example(zeros=1, low=[Fraction(1, 10)], high=[Fraction(1)], flip=False,
+         width=Fraction(1, 3))
 @given(zeros=st.integers(0, 2),
        low=st.lists(fractions, min_size=1, max_size=4).filter(any),
        high=st.lists(fractions, min_size=1, max_size=4).filter(

@@ -1,5 +1,6 @@
 """Built-in named amalgam specifications with documented expected quantities,
-plus the letter-minimal normal-form enumerator for the pgl2z entry.
+one row of data per entry read by `catalog_load`, plus the letter-minimal
+normal-form enumerator for the pgl2z entry.
 
 The pgl2z enumerator generates all words of the shape
 
@@ -28,7 +29,7 @@ from .amalgam import (
     multiply,
     reduce_word,
 )
-from .groups import cyclic, dihedral, direct_product, verify_embedding
+from .groups import build_group, verify_embedding
 
 
 class CatalogEntry(NamedTuple):
@@ -51,200 +52,130 @@ class UnknownEntryError(KeyError):
 GOLDEN_POLY = (-1, -1, 1)          # z^2 - z - 1
 PLASTIC_POLY = (-1, -1, 0, 1)      # z^3 - z - 1
 
+_C1 = {"family": "cyclic", "n": 1}
+_C2 = {"family": "cyclic", "n": 2}
+_V4 = {"family": "product", "left": _C2, "right": _C2}
+_GOLDEN = (
+    {"quantity": "sphere_char_poly", "polynomial": GOLDEN_POLY,
+     "basis": "independent enumeration"},
+    {"quantity": "growth_rate", "value": (1 + 5 ** 0.5) / 2,
+     "basis": "positive root of z^2-z-1"},
+)
+# C2 * B over the trivial group, with a and b the factors' generators
+_FREE = {"A": _C2, "C": _C1, "embA": [0], "embB": [0],
+         "alphabet": {"a": [SIDE_A, 1], "b": [SIDE_B, 1]},
+         "generators": {"a": "a", "b": "b"}}
 
-def _free_product(n: int) -> AmalgamSpec:
-    A, B, C = cyclic(2), cyclic(n), cyclic(1)
-    return make_amalgam(A, B, C, verify_embedding(C, A, [0]),
-                        verify_embedding(C, B, [0]), name=f"c2*c{n}")
-
-
-def _entry_c2_c2() -> CatalogEntry:
-    spec = _free_product(2)
-    a = factor_nf(spec, SIDE_A, 1)
-    b = factor_nf(spec, SIDE_B, 1)
-    return CatalogEntry(
-        name="c2*c2",
-        spec=spec,
-        alphabet={"a": a, "b": b},
-        default_genset=make_genset(spec, [("a", a), ("b", b)]),
-        description="infinite dihedral group C2*C2; the excluded linear case "
-                    "with ([A:C]-1)([B:C]-1) = 1",
-        expected=(
+# One JSON-compatible row per entry: the factors A and B and the edge group
+# C as `build_group` descriptors, the images of C in A and in B, the
+# alphabet as name -> (side, element of that factor), the default
+# generators as words over the alphabet, and the documentation.
+_ROWS = {
+    "c2*c2": {
+        **_FREE, "B": _C2,
+        "description": "infinite dihedral group C2*C2; the excluded linear "
+                       "case with ([A:C]-1)([B:C]-1) = 1",
+        "expected": (
             {"quantity": "growth_rate", "value": 1,
              "basis": "sphere sizes are eventually constant"},
             {"quantity": "sphere_char_poly", "polynomial": (-1, 1),
              "basis": "independent enumeration"},
         ),
-    )
-
-
-def _entry_c2_c3() -> CatalogEntry:
-    spec = _free_product(3)
-    a = factor_nf(spec, SIDE_A, 1)
-    b = factor_nf(spec, SIDE_B, 1)
-    t = multiply(spec, b, a)
+    },
     # the default generating set {a, ba} has rate phi (spheres 1, 3, 6, 10,
     # 16, 26, ...); the factor generators {a, b} give the smaller rate
     # sqrt(2) (spheres 1, 3, 4, 6, 8, 12, ...)
-    return CatalogEntry(
-        name="c2*c3",
-        spec=spec,
-        alphabet={"a": a, "b": b},
-        default_genset=make_genset(spec, [("a", a), ("b", t)]),
-        description="C2*C3 with the generating set {a, ba} (rate phi)",
-        expected=(
-            {"quantity": "sphere_char_poly", "polynomial": GOLDEN_POLY,
-             "basis": "independent enumeration"},
-            {"quantity": "growth_rate", "value": (1 + 5 ** 0.5) / 2,
-             "basis": "positive root of z^2-z-1"},
+    "c2*c3": {
+        **_FREE, "B": {"family": "cyclic", "n": 3},
+        "generators": {"a": "a", "b": "b a"},
+        "description": "C2*C3 with the generating set {a, ba} (rate phi)",
+        "expected": _GOLDEN + (
             {"quantity": "factor_generator_rate", "value": 2 ** 0.5,
              "basis": "independent enumeration with {a, b}: z^2-2"},
         ),
-    )
-
-
-def _entry_c2_c4() -> CatalogEntry:
-    spec = _free_product(4)
-    a = factor_nf(spec, SIDE_A, 1)
-    b = factor_nf(spec, SIDE_B, 1)
-    return CatalogEntry(
-        name="c2*c4",
-        spec=spec,
-        alphabet={"a": a, "b": b},
-        default_genset=make_genset(spec, [("a", a), ("b", b)]),
-        description="C2*C4 with factor generators",
-        expected=(
-            {"quantity": "sphere_char_poly", "polynomial": GOLDEN_POLY,
-             "basis": "independent enumeration"},
-            {"quantity": "growth_rate", "value": (1 + 5 ** 0.5) / 2,
-             "basis": "positive root of z^2-z-1"},
-        ),
-    )
-
-
-def _entry_c2_c5() -> CatalogEntry:
-    spec = _free_product(5)
-    a = factor_nf(spec, SIDE_A, 1)
-    b = factor_nf(spec, SIDE_B, 1)
-    return CatalogEntry(
-        name="c2*c5",
-        spec=spec,
-        alphabet={"a": a, "b": b},
-        default_genset=make_genset(spec, [("a", a), ("b", b)]),
-        description="C2*C5 with factor generators",
-        expected=(
+    },
+    "c2*c4": {
+        **_FREE, "B": {"family": "cyclic", "n": 4},
+        "description": "C2*C4 with factor generators",
+        "expected": _GOLDEN,
+    },
+    "c2*c5": {
+        **_FREE, "B": {"family": "cyclic", "n": 5},
+        "description": "C2*C5 with factor generators",
+        "expected": (
             {"quantity": "sphere_char_poly", "polynomial": (-2, -2, 0, 1),
              "basis": "independent enumeration"},
             {"quantity": "growth_rate", "value": 1.7692923542386314,
              "basis": "positive root of z^3-2z-2"},
         ),
-    )
-
-
-def _entry_c2_c2xc2() -> CatalogEntry:
-    A = cyclic(2)
-    B = direct_product(cyclic(2), cyclic(2))
-    C = cyclic(1)
-    spec = make_amalgam(A, B, C, verify_embedding(C, A, [0]),
-                        verify_embedding(C, B, [0]), name="c2*c2xc2")
-    a = factor_nf(spec, SIDE_A, 1)
-    b = factor_nf(spec, SIDE_B, 2)
-    c = factor_nf(spec, SIDE_B, 1)
-    return CatalogEntry(
-        name="c2*c2xc2",
-        spec=spec,
-        alphabet={"a": a, "b": b, "c": c},
-        default_genset=make_genset(spec, [("a", a), ("b", b), ("c", c)]),
-        description="C2*(C2xC2), generated entirely by involutions",
-        expected=(
-            {"quantity": "sphere_char_poly", "polynomial": GOLDEN_POLY,
-             "basis": "independent enumeration"},
-            {"quantity": "growth_rate", "value": (1 + 5 ** 0.5) / 2,
-             "basis": "positive root of z^2-z-1"},
-        ),
-    )
-
-
-def _entry_pgl2z() -> CatalogEntry:
+    },
+    "c2*c2xc2": {
+        **_FREE, "B": _V4,
+        "alphabet": {"a": [SIDE_A, 1], "b": [SIDE_B, 2], "c": [SIDE_B, 1]},
+        "generators": {"a": "a", "b": "b", "c": "c"},
+        "description": "C2*(C2xC2), generated entirely by involutions",
+        "expected": _GOLDEN,
+    },
     # (C2 x C2) amalgamated with D6 over C2, identifying a with the
     # reflection d; generators a, b (Klein factor) and c (reflection of D6)
     # satisfy a^2 = b^2 = c^2 = (ab)^2 = (ac)^3 = 1
-    A = direct_product(cyclic(2), cyclic(2))
-    B = dihedral(6)
-    C = cyclic(2)
-    spec = make_amalgam(A, B, C, verify_embedding(C, A, [0, 2]),
-                        verify_embedding(C, B, [0, 4]), name="pgl2z")
-    a = factor_nf(spec, SIDE_A, 2)
-    b = factor_nf(spec, SIDE_A, 1)
-    c = factor_nf(spec, SIDE_B, 3)
-    return CatalogEntry(
-        name="pgl2z",
-        spec=spec,
-        alphabet={"a": a, "b": b, "c": c},
-        default_genset=make_genset(spec, [("a", a), ("b", b), ("c", c)]),
-        description="(C2xC2) amalgamated with D6 over C2; indices [A:C]=2, "
-                    "[B:C]=3",
-        expected=(
+    "pgl2z": {
+        "A": _V4, "B": {"family": "dihedral", "order": 6}, "C": _C2,
+        "embA": [0, 2], "embB": [0, 4],
+        "alphabet": {"a": [SIDE_A, 2], "b": [SIDE_A, 1], "c": [SIDE_B, 3]},
+        "generators": {"a": "a", "b": "b", "c": "c"},
+        "description": "(C2xC2) amalgamated with D6 over C2; indices "
+                       "[A:C]=2, [B:C]=3",
+        "expected": (
             {"quantity": "sphere_char_poly", "polynomial": PLASTIC_POLY,
              "basis": "independent enumeration and the letter-minimal "
                       "form oracle"},
             {"quantity": "growth_rate", "value": 1.3247179572447460,
              "basis": "positive root of z^3-z-1"},
         ),
-    )
-
-
-def _entry_gl2z() -> CatalogEntry:
+    },
     # D8 amalgamated with D12 over C2 x C2: the rotation square (ab)^2 of D8
     # is identified with the rotation cube (cd)^3 of D12, and the reflection
     # b with the reflection d (so b and d name the same element)
-    A = dihedral(8)
-    B = dihedral(12)
-    C = direct_product(cyclic(2), cyclic(2))
-    spec = make_amalgam(A, B, C, verify_embedding(C, A, [0, 5, 2, 7]),
-                        verify_embedding(C, B, [0, 7, 3, 10]), name="gl2z")
-    a = factor_nf(spec, SIDE_A, 4)
-    b = factor_nf(spec, SIDE_A, 5)
-    c = factor_nf(spec, SIDE_B, 6)
-    d = factor_nf(spec, SIDE_B, 7)
-    assert b == d
-    return CatalogEntry(
-        name="gl2z",
-        spec=spec,
-        alphabet={"a": a, "b": b, "c": c, "d": d},
-        default_genset=make_genset(spec, [("a", a), ("b", b), ("c", c)]),
-        description="D8 amalgamated with D12 over C2xC2; the alphabet name d "
-                    "is an alias for b",
-        expected=(
+    "gl2z": {
+        "A": {"family": "dihedral", "order": 8},
+        "B": {"family": "dihedral", "order": 12}, "C": _V4,
+        "embA": [0, 5, 2, 7], "embB": [0, 7, 3, 10],
+        "alphabet": {"a": [SIDE_A, 4], "b": [SIDE_A, 5], "c": [SIDE_B, 6],
+                     "d": [SIDE_B, 7]},
+        "generators": {"a": "a", "b": "b", "c": "c"},
+        "description": "D8 amalgamated with D12 over C2xC2; the alphabet "
+                       "name d is an alias for b",
+        "expected": (
             {"quantity": "minimal_growth_rate", "value": 1.3247179572447460,
              "basis": "documented transfer from the pgl2z entry; not an "
                       "enumeration target"},
         ),
-    )
-
-
-_BUILDERS = {
-    "c2*c2": _entry_c2_c2,
-    "c2*c3": _entry_c2_c3,
-    "c2*c4": _entry_c2_c4,
-    "c2*c5": _entry_c2_c5,
-    "c2*c2xc2": _entry_c2_c2xc2,
-    "pgl2z": _entry_pgl2z,
-    "gl2z": _entry_gl2z,
+    },
 }
 
 
 def catalog_names() -> list[str]:
-    return list(_BUILDERS)
+    return list(_ROWS)
 
 
 @lru_cache(maxsize=None)
 def catalog_load(name: str) -> CatalogEntry:
-    if name not in _BUILDERS:
+    if name not in _ROWS:
         raise UnknownEntryError(
             f"unknown catalog entry {name!r}; available: "
             + ", ".join(catalog_names()))
-    return _BUILDERS[name]()
+    row = _ROWS[name]
+    A, B, C = (build_group(row[k]) for k in "ABC")
+    spec = make_amalgam(A, B, C, verify_embedding(C, A, row["embA"]),
+                        verify_embedding(C, B, row["embB"]), name=name)
+    alphabet = {n: factor_nf(spec, side, elem)
+                for n, (side, elem) in row["alphabet"].items()}
+    gens = make_genset(spec, [
+        (n, reduce_word(spec, Word.parse(w), alphabet))
+        for n, w in row["generators"].items()])
+    return CatalogEntry(name, spec, alphabet, gens, row["description"],
+                        row["expected"])
 
 
 PLASTIC_EDGE = ("", "a", "b", "ab")
@@ -265,22 +196,6 @@ class PlasticForm(NamedTuple):
     @property
     def ends_in_c(self) -> bool:
         return len(self.segments) > 1 and self.segments[-1] == ""
-
-
-class PlasticFormError(ValueError):
-    pass
-
-
-def make_plastic(segments: tuple[str, ...]) -> PlasticForm:
-    if not segments:
-        raise PlasticFormError("at least one segment required")
-    if segments[0] not in PLASTIC_EDGE or segments[-1] not in PLASTIC_EDGE:
-        raise PlasticFormError(f"edge segment outside {PLASTIC_EDGE}")
-    for s in segments[1:-1]:
-        if s not in PLASTIC_MIDDLE:
-            raise PlasticFormError(f"middle segment {s!r} outside "
-                                   f"{PLASTIC_MIDDLE}")
-    return PlasticForm(segments)
 
 
 def plastic_forms(nmax: int) -> list[PlasticForm]:

@@ -34,6 +34,14 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so it exits with EXIT_ERROR like
+    any other error (argparse would exit with 2, EXIT_INCONCLUSIVE)."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _provenance(entry, args, seed=None) -> dict:
     prov = {
         "version": __version__,
@@ -176,10 +184,14 @@ def cmd_certify(args) -> int:
     report["search"] = stats = {}
     radius = _radius(args, None)
     if args.mode == "monoid":
+        if args.left or args.right:
+            raise CliError("--left and --right need --mode split")
         elements = _parse_elements(entry, args.elements or [])
         cert = certify_free_monoid(entry.spec, elements, radius=radius,
                                    diagnostics=diagnostics, stats=stats)
     else:
+        if args.elements:
+            raise CliError("--elements needs --mode monoid")
         left = _parse_elements(entry, args.left or [])
         right = _parse_elements(entry, args.right or [])
         cert = certify_free_split(entry.spec, left, right, radius=radius,
@@ -293,13 +305,11 @@ def cmd_root(args) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         desc = {"lengths": args.lengths}
-    elif args.poly:
+    else:
         enc = largest_positive_root(args.poly)
         desc = {"poly": args.poly}
         if enc is None:
             raise CliError("no positive real root")
-    else:
-        raise CliError("provide --lengths or --poly")
     payload = {"version": __version__}
     payload.update(desc)
     payload["root"] = {"lo": str(enc.lo), "hi": str(enc.hi), "mid": enc.mid,
@@ -311,7 +321,7 @@ def cmd_root(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amalgrowth",
         description="exact growth-rate workbench for free and amalgamated "
                     "products of finite groups")
@@ -372,18 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root", help="exact positive-root enclosures")
     common(p, spec=False)
-    p.add_argument("--lengths", type=int, nargs="+",
-                   help="generator lengths for the monoid bound")
-    p.add_argument("--poly", type=int, nargs="+",
-                   help="ascending polynomial coefficients")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--lengths", type=int, nargs="+",
+                       help="generator lengths for the monoid bound")
+    given.add_argument("--poly", type=int, nargs="+",
+                       help="ascending polynomial coefficients")
     p.set_defaults(func=cmd_root)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

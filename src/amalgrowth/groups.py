@@ -24,12 +24,6 @@ class FiniteGroup(NamedTuple):
     inv: tuple[int, ...]
     labels: tuple[str, ...]
 
-    def product(self, *elems: int) -> int:
-        acc = self.identity
-        for e in elems:
-            acc = self.mul[acc][e]
-        return acc
-
     def element_order(self, x: int) -> int:
         n, acc = 1, x
         while acc != self.identity:

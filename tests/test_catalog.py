@@ -1,12 +1,20 @@
-import pytest
+import hashlib
+import json
+import subprocess
+import sys
+import textwrap
 
-from amalgrowth.amalgam import is_identity, make_genset, multiply
+import pytest
+from test_growth import _child_env
+
+from amalgrowth import cli
+from amalgrowth.amalgam import is_identity, make_genset, multiply, nf_to_json
+from amalgrowth import catalog
 from amalgrowth.catalog import (
-    PlasticFormError,
+    PlasticForm,
     UnknownEntryError,
     catalog_load,
     catalog_names,
-    make_plastic,
     parse_word,
     plastic_enumerate,
     plastic_eval,
@@ -40,7 +48,8 @@ def plastic_normal_form(entry, g):
     gens = make_genset(entry.spec,
                        [(n, entry.alphabet[n]) for n in ("a", "b", "c")])
     length, word = shortest_word(entry.spec, gens, g, 3 * len(g.syllables) + 4)
-    form = make_plastic(tuple(_rewrite_letters("".join(word)).split("c")))
+    form = PlasticForm(tuple(_rewrite_letters("".join(word)).split("c")))
+    assert form in plastic_forms(form.length())
     assert plastic_eval(entry, form) == g
     assert form.length() == length
     return form
@@ -55,6 +64,81 @@ def test_catalog_names_and_load():
         assert entry.default_genset.names
     with pytest.raises(UnknownEntryError):
         catalog_load("nope")
+
+
+# entry: (alphabet, default generating set), each letter as (name,
+# syllables, head) of its `nf_to_json`, in order
+PINNED_LETTERS = {
+    "c2*c2": ([("a", [[0, 1]], 0), ("b", [[1, 1]], 0)],
+              [("a", [[0, 1]], 0), ("b", [[1, 1]], 0)]),
+    "c2*c3": ([("a", [[0, 1]], 0), ("b", [[1, 1]], 0)],
+              [("a", [[0, 1]], 0), ("b", [[1, 1], [0, 1]], 0)]),
+    "c2*c4": ([("a", [[0, 1]], 0), ("b", [[1, 1]], 0)],
+              [("a", [[0, 1]], 0), ("b", [[1, 1]], 0)]),
+    "c2*c5": ([("a", [[0, 1]], 0), ("b", [[1, 1]], 0)],
+              [("a", [[0, 1]], 0), ("b", [[1, 1]], 0)]),
+    "c2*c2xc2": (
+        [("a", [[0, 1]], 0), ("b", [[1, 2]], 0), ("c", [[1, 1]], 0)],
+        [("a", [[0, 1]], 0), ("b", [[1, 2]], 0), ("c", [[1, 1]], 0)]),
+    "pgl2z": ([("a", [], 1), ("b", [[0, 1]], 0), ("c", [[1, 2]], 1)],
+              [("a", [], 1), ("b", [[0, 1]], 0), ("c", [[1, 2]], 1)]),
+    "gl2z": ([("a", [[0, 1]], 3), ("b", [], 1), ("c", [[1, 2]], 3),
+              ("d", [], 1)],
+             [("a", [[0, 1]], 3), ("b", [], 1), ("c", [[1, 2]], 3)]),
+}
+
+
+def test_alphabets_and_default_gensets_are_pinned():
+    assert list(PINNED_LETTERS) == catalog_names()
+    for name, (alphabet, gens) in PINNED_LETTERS.items():
+        entry = catalog_load(name)
+        for letters, pinned in ((entry.alphabet, alphabet),
+                                (entry.default_genset.alphabet(), gens)):
+            assert [(n, nf_to_json(g)) for n, g in letters.items()] == [
+                (n, {"syllables": syl, "head": head})
+                for n, syl, head in pinned], name
+
+
+def test_every_row_is_json_data():
+    for row in catalog._ROWS.values():
+        json.dumps(row)  # TypeError on anything but JSON data
+
+
+def test_catalog_listing_is_pinned(capsys):
+    assert cli.main(["catalog"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c89919b4e6af0edbde3d752ce5b4a7907436fa62371b737607ebb9ae023abbe8")
+
+
+def test_import_builds_no_group_and_a_load_only_its_own():
+    code = textwrap.dedent("""
+        import json, sys
+        calls = []
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.endswith("groups.py"):
+                calls.append([code.co_name, frame.f_locals.get("n")])
+        sys.setprofile(profile)
+        import amalgrowth.catalog
+        on_import = list(calls)
+        calls.clear()
+        amalgrowth.catalog.catalog_load("c2*c3")
+        sys.setprofile(None)
+        print(json.dumps([on_import, calls]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    on_import, on_load = json.loads(proc.stdout)
+    constructors = {"cyclic", "dihedral", "direct_product", "from_table",
+                    "build_group", "_make"}
+    # the hook sees groups.py run, and no constructor runs with it
+    assert ["<module>", None] in on_import
+    assert not constructors & {name for name, _ in on_import}
+    # c2*c3 builds C2, C3 and the trivial group, and nothing else
+    assert sorted(n for name, n in on_load if name == "cyclic") == [1, 2, 3]
+    assert not {"dihedral", "direct_product"} & {name for name, _ in on_load}
 
 
 def test_entries_have_valid_amalgams():
@@ -116,14 +200,6 @@ def test_plastic_forms_evaluate_injectively():
             k = plastic_eval(entry, form).key()
             assert k not in seen, (form, seen[k])
             seen[k] = form
-
-
-def test_plastic_form_validation():
-    make_plastic(("a", "b", "a"))  # U c M c V
-    with pytest.raises(PlasticFormError):
-        make_plastic(("a", "a", "a"))  # middle segment must be b or ab
-    with pytest.raises(PlasticFormError):
-        make_plastic(("ba",))  # not an admissible segment
 
 
 def test_plastic_normal_form_round_trip():

@@ -347,6 +347,16 @@ def test_root_lengths_and_poly(capsys):
     ["classify", "c2*c3", "a b", "--radius", "-1"],
     ["certify", "c2*c3", "--mode", "monoid", "--radius", "-1",
      "--elements", "a b", "b a b"],
+    # usage errors, which argparse alone would end with exit code 2
+    ["certify", "pgl2z", "--elements", "b c", "a b c"],
+    ["growth", "pgl2z", "--nmax", "x"],
+    ["no-such-command"],
+    # options that contradict each other
+    ["root", "--lengths", "1", "2", "--poly", "-2", "0", "1"],
+    ["certify", "pgl2z", "--mode", "monoid", "--elements", "b c", "a b c",
+     "--left", "a"],
+    ["certify", "pgl2z", "--mode", "split", "--left", "a", "--right", "c",
+     "--elements", "a b"],
 ])
 def test_invalid_input_is_an_error(argv, capsys):
     assert cli.main(argv) == cli.EXIT_ERROR
@@ -354,10 +364,13 @@ def test_invalid_input_is_an_error(argv, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
-def test_version_flag():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--version"])
-    assert exc.value.code == 0
+def test_version_flag(capsys):
+    # --version and help are not usage errors
+    for argv in (["--version"], ["-h"], ["root", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_paper_prints_lines_only_without_out(tmp_path, capsys,

@@ -32,7 +32,6 @@ class AmalgamSpec(NamedTuple):
     embB: Embedding
     transA: Transversal
     transB: Transversal
-    name: str
     # bits per digit of the packed form (`encode_flat`): enough for a
     # syllable digit 1 + side + 2 * rep and for a head in C
     digit_bits: int
@@ -40,24 +39,16 @@ class AmalgamSpec(NamedTuple):
     digest: str
 
     @property
-    def index_product(self) -> int:
-        """([A:C]-1)([B:C]-1); the tree is neither a point nor a line iff
-        this is >= 2."""
-        return (len(self.transA.reps) - 1) * (len(self.transB.reps) - 1)
-
-    @property
     def branching(self) -> bool:
-        return self.index_product >= 2
+        """Whether ([A:C]-1)([B:C]-1) >= 2: the tree is then neither a point
+        nor a line."""
+        return (len(self.transA.reps) - 1) * (len(self.transB.reps) - 1) >= 2
 
     def factor(self, side: int) -> FiniteGroup:
         return self.A if side == SIDE_A else self.B
 
     def image(self, side: int) -> tuple[int, ...]:
         return (self.embA if side == SIDE_A else self.embB).image
-
-    def factorize(self, side: int, elem: int) -> tuple[int, int]:
-        trans = self.transA if side == SIDE_A else self.transB
-        return trans.factorization[elem]
 
     def transversal(self, side: int) -> Transversal:
         return self.transA if side == SIDE_A else self.transB
@@ -68,7 +59,7 @@ class AmalgamSpec(NamedTuple):
 
 
 def make_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
-                 embA: Embedding, embB: Embedding, name: str = "") -> AmalgamSpec:
+                 embA: Embedding, embB: Embedding) -> AmalgamSpec:
     payload = {"A": A.mul, "B": B.mul, "C": C.mul,
                "embA": embA.image, "embB": embB.image}
     blob = json.dumps(payload, sort_keys=True, default=list).encode()
@@ -76,7 +67,6 @@ def make_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
         A=A, B=B, C=C, embA=embA, embB=embB,
         transA=coset_transversal(A, embA),
         transB=coset_transversal(B, embB),
-        name=name,
         digit_bits=max(2 * max(A.order, B.order), C.order - 1).bit_length(),
         digest=hashlib.sha256(blob).hexdigest()[:16],
     )
@@ -112,7 +102,7 @@ def _append_factor(spec: AmalgamSpec, syllables: list, head: int,
     p = fac.mul[spec.image(side)[head]][elem]
     if syllables and syllables[-1][0] == side:
         p = fac.mul[syllables.pop()[1]][p]
-    rep, c = spec.factorize(side, p)
+    rep, c = spec.transversal(side).factorization[p]
     if rep != fac.identity:
         syllables.append((side, rep))
     return c

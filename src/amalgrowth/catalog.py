@@ -168,7 +168,7 @@ def catalog_load(name: str) -> CatalogEntry:
     row = _ROWS[name]
     A, B, C = (build_group(row[k]) for k in "ABC")
     spec = make_amalgam(A, B, C, verify_embedding(C, A, row["embA"]),
-                        verify_embedding(C, B, row["embB"]), name=name)
+                        verify_embedding(C, B, row["embB"]))
     alphabet = {n: factor_nf(spec, side, elem)
                 for n, (side, elem) in row["alphabet"].items()}
     gens = make_genset(spec, [
@@ -182,46 +182,29 @@ PLASTIC_EDGE = ("", "a", "b", "ab")
 PLASTIC_MIDDLE = ("b", "ab")
 
 
-class PlasticForm(NamedTuple):
-    """Letter-minimal positive word for the pgl2z entry, stored as the
-    maximal c-free segments; k segments carry k-1 interleaved c letters."""
-    segments: tuple[str, ...]
-
-    def letters(self) -> str:
-        return "c".join(self.segments)
-
-    def length(self) -> int:
-        return sum(len(s) for s in self.segments) + len(self.segments) - 1
-
-    @property
-    def ends_in_c(self) -> bool:
-        return len(self.segments) > 1 and self.segments[-1] == ""
-
-
-def plastic_forms(nmax: int) -> list[PlasticForm]:
-    """All valid forms of letter length <= nmax, shortest first."""
+def plastic_forms(nmax: int) -> list[str]:
+    """All valid forms of letter length <= nmax as letter strings, shortest
+    first, then by their maximal c-free segments."""
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    out = [PlasticForm((u,)) for u in PLASTIC_EDGE if len(u) <= nmax]
+    out = [u for u in PLASTIC_EDGE if len(u) <= nmax]
     # bodies are open forms U c M1 c ... Mk still awaiting "c V"
-    partial = [((u,), len(u)) for u in PLASTIC_EDGE]
+    partial = list(PLASTIC_EDGE)
     while partial:
         nxt = []
-        for segs, n in partial:
+        for body in partial:
             for v in PLASTIC_EDGE:
-                if n + 1 + len(v) <= nmax:
-                    out.append(PlasticForm(segs + (v,)))
+                if len(body) + 1 + len(v) <= nmax:
+                    out.append(body + "c" + v)
             for m in PLASTIC_MIDDLE:
-                n2 = n + 1 + len(m)
-                if n2 + 1 <= nmax:
-                    nxt.append((segs + (m,), n2))
+                if len(body) + 2 + len(m) <= nmax:
+                    nxt.append(body + "c" + m)
         partial = nxt
-    out.sort(key=lambda f: (f.length(), f.segments))
+    out.sort(key=lambda f: (len(f), f.split("c")))
     return out
 
 
 class PlasticCounts(NamedTuple):
-    nmax: int
     w: tuple[int, ...]       # all forms of each letter length
     c: tuple[int, ...]       # forms ending in c
 
@@ -229,34 +212,36 @@ class PlasticCounts(NamedTuple):
 def plastic_enumerate(nmax: int) -> PlasticCounts:
     """Exact per-length counts by direct generation.
 
-    Asserts the holding recurrences C(n) = C(n-2) + C(n-3) for n >= 4 and
+    Checks the holding recurrences C(n) = C(n-2) + C(n-3) for n >= 4 and
     W(n) = W(n-2) + W(n-3) for n >= 5, and that distinct forms evaluate to
-    distinct group elements (uniqueness is checked, not assumed).
+    distinct group elements; a failure raises AssertionError, also under -O.
     """
     forms = plastic_forms(nmax)
     w = [0] * (nmax + 1)
     c = [0] * (nmax + 1)
     for f in forms:
-        w[f.length()] += 1
-        if f.ends_in_c:
-            c[f.length()] += 1
+        w[len(f)] += 1
+        if f.endswith("c"):
+            c[len(f)] += 1
     for n in range(4, nmax + 1):
-        assert c[n] == c[n - 2] + c[n - 3], f"C-recurrence fails at {n}"
+        if c[n] != c[n - 2] + c[n - 3]:
+            raise AssertionError(f"C-recurrence fails at {n}")
     for n in range(5, nmax + 1):
-        assert w[n] == w[n - 2] + w[n - 3], f"W-recurrence fails at {n}"
+        if w[n] != w[n - 2] + w[n - 3]:
+            raise AssertionError(f"W-recurrence fails at {n}")
     entry = catalog_load("pgl2z")
     seen: dict[NormalForm, str] = {}
     for f in forms:
         g = plastic_eval(entry, f)
-        assert g not in seen, (
-            f"forms {seen[g]!r} and {f.letters()!r} collide")
-        seen[g] = f.letters()
-    return PlasticCounts(nmax, tuple(w), tuple(c))
+        if g in seen:
+            raise AssertionError(f"forms {seen[g]!r} and {f!r} collide")
+        seen[g] = f
+    return PlasticCounts(tuple(w), tuple(c))
 
 
-def plastic_eval(entry: CatalogEntry, form: PlasticForm) -> NormalForm:
+def plastic_eval(entry: CatalogEntry, form: str) -> NormalForm:
     acc = identity_nf(entry.spec)
-    for ch in form.letters():
+    for ch in form:
         acc = multiply(entry.spec, acc, entry.alphabet[ch])
     return acc
 

@@ -69,7 +69,7 @@ def _load(name: str):
     try:
         return catalog_load(name)
     except UnknownEntryError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(exc.args[0]) from exc
 
 
 def _parse_elements(entry, words: list[str]):
@@ -186,14 +186,18 @@ def cmd_certify(args) -> int:
     if args.mode == "monoid":
         if args.left or args.right:
             raise CliError("--left and --right need --mode split")
-        elements = _parse_elements(entry, args.elements or [])
+        if len(args.elements or []) < 2:
+            raise CliError("--mode monoid needs at least two --elements")
+        elements = _parse_elements(entry, args.elements)
         cert = certify_free_monoid(entry.spec, elements, radius=radius,
                                    diagnostics=diagnostics, stats=stats)
     else:
         if args.elements:
             raise CliError("--elements needs --mode monoid")
-        left = _parse_elements(entry, args.left or [])
-        right = _parse_elements(entry, args.right or [])
+        if not args.left or not args.right:
+            raise CliError("--mode split needs --left and --right")
+        left = _parse_elements(entry, args.left)
+        right = _parse_elements(entry, args.right)
         cert = certify_free_split(entry.spec, left, right, radius=radius,
                                   diagnostics=diagnostics, stats=stats)
     if cert is None:

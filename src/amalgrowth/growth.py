@@ -53,7 +53,7 @@ from __future__ import annotations
 import io
 import time
 from collections import defaultdict
-from itertools import chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, product, repeat
 from operator import add, lshift, or_
 from typing import NamedTuple
 
@@ -89,8 +89,6 @@ class GrowthTable(NamedTuple):
     ball: tuple[int, ...]
     truncated: bool
     timings: tuple[float, ...]
-    spec_hash: str
-    generators: tuple[str, ...]
     # products a plain BFS tries per level: len(previous sphere) *
     # len(letters); the identity is level 0's one candidate
     candidates: tuple[int, ...]
@@ -475,12 +473,8 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
     letters = [g for _, g in _named_letters(spec, gens)]
     levels = _levels(spec, letters, budget)
     next(levels)
-    sphere = [1]
-    timings = [0.0]
-    candidates = [1]
-    products = [1]
-    packed = [1]
-    compared = [0]
+    # (size, products, packed, compared, seconds) per level
+    records = [(1, 1, 1, 0, 0.0)]
     truncated = False
     for _ in range(nmax):
         t0 = time.perf_counter()
@@ -488,32 +482,15 @@ def enumerate_balls(spec: AmalgamSpec, gens: GenSet, nmax: int, *,
         if nxt is None:
             truncated = True
             break
-        candidates.append(sphere[-1] * len(letters))
-        products.append(nxt.products)
-        packed.append(nxt.packed)
-        compared.append(nxt.compared)
-        sphere.append(len(nxt))
-        timings.append(time.perf_counter() - t0)
+        records.append((len(nxt), nxt.products, nxt.packed, nxt.compared,
+                        time.perf_counter() - t0))
         if not nxt:
             break
-    ball = []
-    acc = 0
-    for s in sphere:
-        acc += s
-        ball.append(acc)
-    return GrowthTable(
-        nmax=len(sphere) - 1,
-        sphere=tuple(sphere),
-        ball=tuple(ball),
-        truncated=truncated,
-        timings=tuple(timings),
-        spec_hash=spec.spec_hash(),
-        generators=gens.names,
-        candidates=tuple(candidates),
-        products=tuple(products),
-        packed=tuple(packed),
-        compared=tuple(compared),
-    )
+    sphere, products, packed, compared, timings = zip(*records)
+    candidates = (1, *(s * len(letters) for s in sphere[:-1]))
+    return GrowthTable(len(sphere) - 1, sphere, tuple(accumulate(sphere)),
+                       truncated, timings, candidates, products, packed,
+                       compared)
 
 
 def rate(spec: AmalgamSpec, gens: GenSet, *, nmax: int,

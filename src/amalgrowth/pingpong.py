@@ -64,7 +64,7 @@ class HalfTree(NamedTuple):
     `contains` is exact only when u and w are adjacent: it decides membership
     from key prefixes, since the tree hangs from the base edge.  H(u, w) is
     the subtree under w, or everything outside u's subtree when w is u's
-    parent.  `half_tree` and `replay` check the adjacency first."""
+    parent.  `replay` checks the adjacency first."""
     u: TreeVertex
     w: TreeVertex
 
@@ -72,12 +72,6 @@ class HalfTree(NamedTuple):
         if _parent(self.u) == self.w:
             return not _at_or_above(self.u, v)
         return _at_or_above(self.w, v)
-
-
-def half_tree(u: TreeVertex, w: TreeVertex) -> HalfTree:
-    if tree_distance(u, w) != 1:
-        raise ValueError("half-tree anchor must be an edge")
-    return HalfTree(u, w)
 
 
 def image_half_tree(spec: AmalgamSpec, g: NormalForm, h: HalfTree) -> HalfTree:

@@ -124,9 +124,6 @@ class RootEnclosure(NamedTuple):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def contains(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
 
 def _integer_poly(p) -> list[int]:
     """p scaled by the lcm of its coefficient denominators: integer
@@ -246,12 +243,6 @@ class Recurrence(NamedTuple):
         for i, c in enumerate(self.coefficients, start=1):
             coeffs[d - i] = -c
         return coeffs
-
-    def extend(self, n: int) -> list[Fraction]:
-        seq = [Fraction(v) for v in self.initial]
-        while len(seq) < n:
-            seq.append(sum(c * seq[-i] for i, c in enumerate(self.coefficients, 1)))
-        return seq[:n]
 
 
 def _solve(rows: list[list[int]],

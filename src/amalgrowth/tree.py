@@ -152,7 +152,6 @@ class Classification(NamedTuple):
     verdict: str                      # "elliptic" | "hyperbolic"
     tau: int
     witness: TreeVertex
-    radius: int | None = None
     cross_checked: bool = False
 
     @property
@@ -200,7 +199,7 @@ def classify(spec: AmalgamSpec, g: NormalForm,
             raise AssertionError(
                 f"classification cross-check failed: ball minimum {m}, "
                 f"cyclic reduction gives {cls.tau}")
-    return cls._replace(radius=radius, cross_checked=verified)
+    return cls._replace(cross_checked=verified)
 
 
 class VerdictError(ValueError):

@@ -11,7 +11,6 @@ from amalgrowth import cli
 from amalgrowth.amalgam import is_identity, make_genset, multiply, nf_to_json
 from amalgrowth import catalog
 from amalgrowth.catalog import (
-    PlasticForm,
     UnknownEntryError,
     catalog_load,
     catalog_names,
@@ -48,10 +47,10 @@ def plastic_normal_form(entry, g):
     gens = make_genset(entry.spec,
                        [(n, entry.alphabet[n]) for n in ("a", "b", "c")])
     length, word = shortest_word(entry.spec, gens, g, 3 * len(g.syllables) + 4)
-    form = PlasticForm(tuple(_rewrite_letters("".join(word)).split("c")))
-    assert form in plastic_forms(form.length())
+    form = _rewrite_letters("".join(word))
+    assert form in plastic_forms(len(form))
     assert plastic_eval(entry, form) == g
-    assert form.length() == length
+    assert len(form) == length
     return form
 
 
@@ -195,7 +194,7 @@ def test_plastic_forms_evaluate_injectively():
     seen = {}
     for n in range(9):
         for form in plastic_forms(n):
-            if form.length() != n:
+            if len(form) != n:
                 continue
             k = plastic_eval(entry, form).key()
             assert k not in seen, (form, seen[k])
@@ -218,7 +217,25 @@ def test_plastic_normal_form_rewrites():
     lhs = parse_word(entry, "c a c")
     rhs = parse_word(entry, "a c a")
     assert lhs == rhs
-    assert plastic_normal_form(entry, lhs).letters() == "aca"
+    assert plastic_normal_form(entry, lhs) == "aca"
+
+
+def test_plastic_enumerate_checks_survive_optimisation():
+    # with every form evaluating to one element, the uniqueness check must
+    # raise under python -O too, which strips assert statements
+    code = textwrap.dedent("""
+        from amalgrowth import catalog
+        catalog.plastic_eval = lambda entry, form: catalog.identity_nf(
+            entry.spec)
+        try:
+            catalog.plastic_enumerate(3)
+        except AssertionError as exc:
+            print(exc)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "forms '' and 'c' collide\n"
 
 
 def test_expected_metadata_is_well_formed():

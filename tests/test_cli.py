@@ -96,7 +96,9 @@ def test_python_m_runs_the_cli():
 
 def test_unknown_entry_is_an_error(capsys):
     assert cli.main(["growth", "nope", "--nmax", "3"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown catalog entry 'nope'; available: c2*c2, c2*c3, "
+        "c2*c4, c2*c5, c2*c2xc2, pgl2z, gl2z\n")
 
 
 def test_unknown_generator_is_an_error(capsys):
@@ -357,6 +359,11 @@ def test_root_lengths_and_poly(capsys):
      "--left", "a"],
     ["certify", "pgl2z", "--mode", "split", "--left", "a", "--right", "c",
      "--elements", "a b"],
+    # incomplete certify command lines: not a failed search
+    ["certify", "pgl2z", "--mode", "monoid"],
+    ["certify", "pgl2z", "--mode", "monoid", "--elements", "b c"],
+    ["certify", "pgl2z", "--mode", "split", "--left", "a"],
+    ["certify", "pgl2z", "--mode", "split", "--right", "b"],
 ])
 def test_invalid_input_is_an_error(argv, capsys):
     assert cli.main(argv) == cli.EXIT_ERROR

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -308,6 +309,23 @@ def test_generator_order_does_not_change_the_csv():
     t2 = enumerate_balls(entry.spec, make_genset(entry.spec, named[::-1]), 9)
     assert t1.sphere == t2.sphere
     assert growth_table_csv(t1) == growth_table_csv(t2)
+
+
+def test_growth_tables_are_pinned():
+    # every field of every entry's table but the timings, through nmax 14,
+    # with a budget that never binds, one that truncates and one of 0
+    rows = []
+    for name in catalog_names():
+        entry = catalog_load(name)
+        for nmax in (0, 1, 5, 14):
+            for budget in (DEFAULT_BUDGET, 50, 0):
+                t = enumerate_balls(entry.spec, entry.default_genset, nmax,
+                                    budget=budget)
+                rows.append([name, nmax, budget, t.nmax, t.sphere, t.ball,
+                             t.truncated, t.candidates, t.products, t.packed,
+                             t.compared])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "078fc5a8ff0cd4458320523f590c5a7abc7189dee230461ee8f8b8fa1d32b254")
 
 
 def test_budget_truncation_is_flagged():

@@ -25,7 +25,6 @@ from amalgrowth.pingpong import (
     _closure,
     certify_free_monoid,
     certify_free_split,
-    half_tree,
     half_tree_subset,
     half_trees_disjoint,
     image_half_tree,
@@ -55,7 +54,7 @@ def test_half_tree_predicates_match_pointwise_definition():
     verts = ball(spec, BASE_A, 6)
     edges = [(u, w) for u in ball(spec, BASE_A, 2)
              for w in neighbors(spec, u)]
-    halves = [half_tree(u, w) for u, w in edges]
+    halves = [HalfTree(u, w) for u, w in edges]
 
     def members(h):
         return {v for v in verts
@@ -77,7 +76,7 @@ def test_half_tree_contains_matches_tree_distances(name):
     edges = [(u, w) for u in verts for w in neighbors(spec, u) if w in verts]
     assert (BASE_A, BASE_B) in edges and (BASE_B, BASE_A) in edges
     for u, w in edges:
-        h = half_tree(u, w)
+        h = HalfTree(u, w)
         assert [v for v in verts if h.contains(v)] \
             == [v for v in verts if dist[w][v] < dist[u][v]], (u, w)
 
@@ -86,7 +85,7 @@ def test_image_half_tree_is_equivariant():
     entry = catalog_load("pgl2z")
     spec = entry.spec
     g = parse_word(entry, "a b c")
-    h = half_tree(BASE_A, BASE_B)
+    h = HalfTree(BASE_A, BASE_B)
     img = image_half_tree(spec, g, h)
     assert tree_distance(img.u, img.w) == 1
     # membership transports: v in H iff g.v in g(H)

@@ -1,22 +1,25 @@
 """Replayable ping-pong certificates on the amalgam tree.
 
-A certificate is finite data: its elements, a list of half-tree sets (anchor
-edge plus direction) and a list of checks.  `CHECKS` decides each check kind
-from the check's JSON dict, for the certificate search and for `replay`
-alike.  Because the group acts by tree automorphisms, g(H) is again a
-half-tree with known anchor, so disjointness and "g maps this set into that
-set" reduce to a constant number of exact key-prefix tests.
+A certificate holds a claim and its witness, and nothing else: its kind and
+spec hash, its elements (role and normal form), a list of half-tree sets
+(anchor edge plus direction), a list of checks, the conclusion, and in
+`data` the one hint `ell` (the certified right element is y x^ell for the
+input y).  `CHECKS` decides each check kind from the check's JSON dict, for
+the certificate search and for `replay` alike.  Because the group acts by
+tree automorphisms, g(H) is again a half-tree with known anchor, so
+disjointness and "g maps this set into that set" reduce to a constant number
+of exact key-prefix tests.
 
-`replay` derives from the payload's kind, elements and sets the checks that
-the ping-pong lemma needs for its shape and the conclusion they prove
-(`_obligations`), requires each of those checks to be listed, and re-runs
-every listed check; a check of a kind outside `CHECKS` is rejected.  It also
-binds the rest of the statement: the conclusion must be the derived one, the
-subgroup orders in `data` must be those of the generated subgroups, and a
-monoid element's `inverted` flag must match its role.  The remaining fields
-are unchecked hints: `radius` (the search radius), and in `data` the power
-`ell` (the certified right element is y x^ell for the input y), the
-distances, translation lengths and the copy of the inversion pattern.
+`replay` derives from the payload's kind, elements and set labels the checks
+that the ping-pong lemma needs for its shape and the conclusion they prove
+(`_obligations`): the orders of the generated finite subgroups and the
+translation length of each `hyperbolic` check are computed, never read.  It
+requires each of those checks to be listed and the conclusion to be the
+derived one, and re-runs every listed check; a check of a kind outside
+`CHECKS` is rejected.  `replay` never reads `data`.  Older payloads, which
+also carry the search radius, each element's `inverted` flag and `tau`, and
+in `data` copies of the orders, distances, translation lengths and inversion
+pattern, still replay: those fields are ignored.
 
 Success is a proof; failure is always inconclusive (never a refutation).
 """
@@ -105,12 +108,11 @@ def _vertex_from_json(spec: AmalgamSpec, d: dict) -> TreeVertex:
 class PingPongCertificate(NamedTuple):
     kind: str                      # "free-monoid" | "free-product-split"
     spec_hash: str
-    radius: int
-    elements: list[dict]           # {"role": str, "nf": {...}, ...}
+    elements: list[dict]           # {"role": str, "nf": {...}}
     sets: list[dict]               # {"label": str, "u": {...}, "w": {...}}
     checks: list[dict]
     conclusion: str
-    data: dict
+    data: dict                     # {"ell": int} or {}; never replayed
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -118,9 +120,9 @@ class PingPongCertificate(NamedTuple):
     @staticmethod
     def from_json(d: dict) -> "PingPongCertificate":
         return PingPongCertificate(
-            kind=d["kind"], spec_hash=d["spec_hash"], radius=d["radius"],
-            elements=d["elements"], sets=d["sets"], checks=d["checks"],
-            conclusion=d["conclusion"], data=d.get("data", {}))
+            kind=d["kind"], spec_hash=d["spec_hash"], elements=d["elements"],
+            sets=d["sets"], checks=d["checks"], conclusion=d["conclusion"],
+            data=d.get("data", {}))
 
 
 def _check(kind: str, **fields) -> dict:
@@ -142,6 +144,10 @@ def _hyperbolic(spec: AmalgamSpec, sets: list[HalfTree], c: dict) -> bool:
     return cls.hyperbolic and cls.tau == c["tau"]
 
 
+def _hyperbolic_check(spec: AmalgamSpec, g: NormalForm) -> dict:
+    return _check("hyperbolic", g=g, tau=classify(spec, g).tau)
+
+
 # check kind -> decision from (spec, the certificate's sets, the check's dict)
 CHECKS = {
     "disjoint": lambda spec, sets, c: half_trees_disjoint(
@@ -152,12 +158,12 @@ CHECKS = {
 
 
 def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
-                 sets: list[dict], data: dict) -> tuple[list[dict], str] | None:
+                 sets: list[dict]) -> tuple[list[dict], str] | None:
     """The checks the ping-pong lemma (de la Harpe, Topics in Geometric Group
     Theory, II.B) needs for the payload's shape and the conclusion they
-    prove, or None when it fits no shape (which includes a monoid element
-    whose `inverted` flag disagrees with its role, and a `data` order other
-    than its subgroup's).
+    prove, or None when it fits no shape or a generated subgroup has more
+    than `SUBGROUP_CAP` elements.  Subgroup orders and translation lengths
+    are computed here (`_closure`, `classify`), never read from the payload.
 
     The shape is read from the kind, the element roles and the set labels:
     - free monoid x1..xk on X1..Xk: X_i pairwise disjoint, x_i(X_j) in X_i
@@ -179,8 +185,7 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
     if kind == "free-monoid":
         if (k < 2 or labels != [f"X{i+1}" for i in range(k)]
                 or any(r not in (f"x{i+1}", f"x{i+1}^-1")
-                       or e["inverted"] is not r.endswith("^-1")
-                       for i, (r, e) in enumerate(zip(roles, elements)))):
+                       for i, r in enumerate(roles))):
             return None
         out = []
         for i, g in enumerate(nfs):
@@ -188,7 +193,7 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
                 out.append(_check("maps_into", g=g, source=j, target=i))
                 if i < j:
                     out.append(_check("disjoint", sets=[i, j]))
-            out.append(_check("hyperbolic", g=g, tau=elements[i]["tau"]))
+            out.append(_hyperbolic_check(spec, g))
         return out, ("positive words in {" + ", ".join(roles)
                      + "} are pairwise distinct (free monoid)")
     n_left = roles.count("left")
@@ -201,8 +206,7 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
     if labels == ["X", "Y"]:
         GX = _closure(spec, left, SUBGROUP_CAP)
         GY = _closure(spec, right, SUBGROUP_CAP)
-        if (GX is None or GY is None or data["left_order"] != len(GX)
-                or data["right_order"] != len(GY)):
+        if GX is None or GY is None:
             return None
         out = (disjoint
                + [_check("maps_into", g=g, source=1, target=0)
@@ -210,18 +214,16 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
                + [_check("maps_into", g=h, source=0, target=1)
                   for h in GY if not is_identity(spec, h)])
         if len(GX) == 2 and len(GY) == 2:
-            prod = multiply(spec, left[0], right[0])
-            out.append(_check("hyperbolic", g=prod,
-                              tau=classify(spec, prod).tau))
+            out.append(_hyperbolic_check(spec, multiply(spec, left[0], right[0])))
         return out, (f"the generated subgroups (orders {len(GX)}, {len(GY)}) "
                      "generate their free product")
     if labels == ["X", "Y+", "Y-"] and len(right) == 1:
         GX = _closure(spec, left, SUBGROUP_CAP)
-        if GX is None or data["left_order"] != len(GX):
+        if GX is None:
             return None
         y, yi = right[0], invert(spec, right[0])
         out = disjoint + [
-            _check("hyperbolic", g=y, tau=elements[-1]["tau"]),
+            _hyperbolic_check(spec, y),
             _check("maps_into", g=y, source=1, target=1),
             _check("maps_into", g=y, source=0, target=1),
             _check("maps_into", g=yi, source=2, target=2),
@@ -234,8 +236,7 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
                      "hyperbolic cyclic group generate their free product")
     if labels == ["X+", "X-", "Y+", "Y-"] and k == 2:
         x, y = nfs
-        out = disjoint + [_check("hyperbolic", g=g, tau=e["tau"])
-                          for g, e in zip(nfs, elements)]
+        out = disjoint + [_hyperbolic_check(spec, g) for g in nfs]
         # each generator drives everything outside its repelling set into
         # its attracting set
         for g, target in ((x, 0), (invert(spec, x), 1),
@@ -251,15 +252,15 @@ def _obligations(spec: AmalgamSpec, kind: str, elements: list[dict],
 def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
     """Accept a certificate iff it is for this spec, its sets are edges,
     every check its shape requires is listed, every listed check holds and
-    its conclusion is the one its shape proves (`_obligations`).  A
-    malformed payload is rejected, never raised on."""
+    its conclusion is the one its shape proves (`_obligations`).  It
+    never reads `data`, nor an element's keys other than `role` and `nf`.
+    A malformed payload is rejected, never raised on."""
     if spec.spec_hash() != cert.spec_hash:
         return False
     try:
         sets = [HalfTree(_vertex_from_json(spec, s["u"]),
                          _vertex_from_json(spec, s["w"])) for s in cert.sets]
-        obligations = _obligations(spec, cert.kind, cert.elements, cert.sets,
-                                   cert.data)
+        obligations = _obligations(spec, cert.kind, cert.elements, cert.sets)
         if obligations is None:
             return False
         required, conclusion = obligations
@@ -282,25 +283,28 @@ def _diag(diagnostics: list[str] | None, msg: str) -> None:
         diagnostics.append(msg)
 
 
-def _certificate(spec: AmalgamSpec, kind: str, radius: int,
-                 elements: list[dict], sets: list[tuple[str, HalfTree]],
-                 data: dict,
+def _certificate(spec: AmalgamSpec, kind: str,
+                 elements: list[tuple[str, NormalForm]],
+                 sets: list[tuple[str, HalfTree]], data: dict,
                  diagnostics: list[str] | None) -> PingPongCertificate | None:
-    """The certificate whose checks are its shape's obligations, or None
-    when one of them fails."""
+    """The certificate of the (role, element) pairs whose checks are its
+    shape's obligations, or None when one of them fails."""
+    elements_json = [{"role": role, "nf": nf_to_json(g)} for role, g in elements]
     sets_json = [{"label": label, "u": vertex_json(h.u), "w": vertex_json(h.w)}
                  for label, h in sets]
     halves = [h for _, h in sets]
-    obligations = _obligations(spec, kind, elements, sets_json, data)
+    obligations = _obligations(spec, kind, elements_json, sets_json)
     if obligations is None:
-        _diag(diagnostics, "the payload fits no certificate shape")
+        # the searches build only payloads of a shape, so a subgroup
+        # closure gave up
+        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
         return None
     checks, conclusion = obligations
     for c in checks:
         if not CHECKS[c["check"]](spec, halves, c):
             _diag(diagnostics, f"structural check {c['check']} failed")
             return None
-    return PingPongCertificate(kind, spec.spec_hash(), radius, elements,
+    return PingPongCertificate(kind, spec.spec_hash(), elements_json,
                                sets_json, checks, conclusion, data)
 
 
@@ -353,24 +357,24 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     if any(c.elliptic for c in base_cls):
         _diag(diagnostics, "an element is elliptic; no attracting half-tree")
         return None
-    # (element or its inverse, its classification, its forward anchors) per
-    # (index, flip), built on first use: 2k of them serve all 2^k patterns
+    # (element or its inverse, its forward anchors) per (index, flip), built
+    # on first use: 2k of them serve all 2^k patterns
     sides: dict[tuple[int, bool], tuple] = {}
 
     def side(i: int, flip: bool) -> tuple:
         if (i, flip) not in sides:
             g = invert(spec, elements[i]) if flip else elements[i]
             c = classify(spec, g) if flip else base_cls[i]
-            sides[i, flip] = g, c, _forward_anchors(spec, g, c)
+            sides[i, flip] = g, _forward_anchors(spec, g, c)
         return sides[i, flip]
 
     patterns = sorted(itertools.product((False, True), repeat=k),
                       key=lambda p: (sum(p), p))
     for pattern in patterns:
         counts["patterns_tried"] += 1
-        if not all(side(i, flip)[2] for i, flip in enumerate(pattern)):
+        if not all(side(i, flip)[1] for i, flip in enumerate(pattern)):
             continue
-        els, cls, anchors = zip(*map(side, range(k), pattern))
+        els, anchors = zip(*map(side, range(k), pattern))
         chosen: list[HalfTree] = []
 
         def search(i: int) -> bool:
@@ -390,17 +394,12 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
 
         if not search(0):
             continue
-        names = [f"x{i+1}" + ("^-1" if pattern[i] else "")
-                 for i in range(k)]
+        names = [f"x{i+1}" + ("^-1" if flip else "")
+                 for i, flip in enumerate(pattern)]
         # the search verified the inclusions, so this cannot fail
         return _certificate(
-            spec, "free-monoid", radius,
-            [{"role": names[i], "nf": nf_to_json(els[i]),
-              "inverted": pattern[i], "tau": cls[i].tau} for i in range(k)],
-            [(f"X{i+1}", h) for i, h in enumerate(chosen)],
-            {"inverted": list(pattern),
-             "translation_lengths": [c.tau for c in cls]},
-            diagnostics)
+            spec, "free-monoid", list(zip(names, els)),
+            [(f"X{i+1}", h) for i, h in enumerate(chosen)], {}, diagnostics)
     _diag(diagnostics, "no disjoint absorbing half-tree family found "
                        f"at radius {radius}")
     return None
@@ -443,72 +442,54 @@ def _middle_edge(path: list[TreeVertex]) -> tuple[TreeVertex, TreeVertex]:
     return path[i], path[i + 1]
 
 
+def _split_elements(left: list[NormalForm],
+                   right: list[NormalForm]) -> list[tuple[str, NormalForm]]:
+    return [("left", g) for g in left] + [("right", h) for h in right]
+
+
 def _split_elliptic_elliptic(
-        spec: AmalgamSpec, gx: list[NormalForm], gy: list[NormalForm],
-        radius: int, diagnostics: list[str] | None,
-        extra_data: dict) -> PingPongCertificate | None:
-    """Free-product split of two finite subgroups with disjoint fixed sets,
-    by ping-pong across a middle edge of the connecting segment."""
-    GX = _closure(spec, gx, SUBGROUP_CAP)
-    GY = _closure(spec, gy, SUBGROUP_CAP)
-    if GX is None or GY is None:
-        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
-        return None
-    fx = _common_fixed(spec, gx, radius)
+        spec: AmalgamSpec, gx: list[NormalForm], fx: list[TreeVertex],
+        gy: list[NormalForm], radius: int, diagnostics: list[str] | None,
+        data: dict) -> PingPongCertificate | None:
+    """Free-product split of two finite subgroups with disjoint fixed sets
+    (fx the common fixed set of gx), by ping-pong across a middle edge of
+    the connecting segment."""
     fy = _common_fixed(spec, gy, radius)
-    if not fx or not fy:
+    if not fy:
         _diag(diagnostics, "no common fixed vertex within radius")
         return None
     if set(fx) & set(fy):
         _diag(diagnostics, "subgroups share a fixed vertex; not a split")
         return None
-    d, p, q = nearest_pair(fx, fy)
+    _, p, q = nearest_pair(fx, fy)
     m, mp = _middle_edge(geodesic(p, q))
-    data = {"left_order": len(GX), "right_order": len(GY),
-            "fixed_distance": d}
-    data.update(extra_data)
     return _certificate(
-        spec, "free-product-split", radius,
-        ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
-         + [{"role": "right", "nf": nf_to_json(h)} for h in gy]),
+        spec, "free-product-split", _split_elements(gx, gy),
         [("X", HalfTree(mp, m)), ("Y", HalfTree(m, mp))],  # X holds p, Y q
         data, diagnostics)
 
 
 def _split_elliptic_hyperbolic(
-        spec: AmalgamSpec, gx: list[NormalForm], y: NormalForm,
-        radius: int, diagnostics: list[str] | None,
-        extra_data: dict) -> PingPongCertificate | None:
-    """Free-product split of a finite subgroup and a hyperbolic cyclic group
-    whose axis avoids the common fixed set: three half-trees anchored at the
-    axis vertex nearest the fixed set."""
-    GX = _closure(spec, gx, SUBGROUP_CAP)
-    if GX is None:
-        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
-        return None
-    fx = _common_fixed(spec, gx, radius)
-    if not fx:
-        _diag(diagnostics, "no common fixed vertex within radius")
-        return None
+        spec: AmalgamSpec, gx: list[NormalForm], fx: list[TreeVertex],
+        y: NormalForm, radius: int, diagnostics: list[str] | None,
+        data: dict) -> PingPongCertificate | None:
+    """Free-product split of a finite subgroup (fx the common fixed set of
+    gx) and a hyperbolic cyclic group whose axis avoids fx: three half-trees
+    anchored at the axis vertex nearest fx."""
     tau = classify(spec, y).tau
     if any(displacement(spec, y, v) == tau for v in fx):
         _diag(diagnostics, "a fixed vertex lies on the axis")
         return None
     axis = axis_segment(spec, y, radius)
-    d, p, q = nearest_pair(fx, axis)
+    _, p, q = nearest_pair(fx, axis)
     p1 = geodesic(q, p)[1]
     f = geodesic(q, act(spec, y, q))[1]
     r = geodesic(q, act(spec, invert(spec, y), q))[1]
     if len({p1, f, r}) != 3:
         _diag(diagnostics, "axis and fixed-set directions collide")
         return None
-    data = {"left_order": len(GX), "translation_length": tau,
-            "axis_distance": d}
-    data.update(extra_data)
     return _certificate(
-        spec, "free-product-split", radius,
-        ([{"role": "left", "nf": nf_to_json(g)} for g in gx]
-         + [{"role": "right", "nf": nf_to_json(y), "tau": tau}]),
+        spec, "free-product-split", _split_elements(gx, [y]),
         [("X", HalfTree(q, p1)), ("Y+", HalfTree(q, f)), ("Y-", HalfTree(q, r))],
         data, diagnostics)
 
@@ -519,7 +500,6 @@ def _split_hyperbolic_hyperbolic(
         ) -> PingPongCertificate | None:
     """Free-product split of two hyperbolic cyclic groups with separated
     axes: four half-trees, one per axis end."""
-    xtau, ytau = classify(spec, x).tau, classify(spec, y).tau
     ax = axis_segment(spec, x, radius)
     ay = axis_segment(spec, y, radius)
     d, qx, qy = nearest_pair(ax, ay)
@@ -530,13 +510,10 @@ def _split_hyperbolic_hyperbolic(
             for q, g in ((qx, x), (qx, invert(spec, x)),
                          (qy, y), (qy, invert(spec, y)))]
     return _certificate(
-        spec, "free-product-split", radius,
-        [{"role": "left", "nf": nf_to_json(x), "tau": xtau},
-         {"role": "right", "nf": nf_to_json(y), "tau": ytau}],
+        spec, "free-product-split", _split_elements([x], [y]),
         [(label, HalfTree(q, end)) for label, q, end
          in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)],
-        {"axis_distance": d, "translation_lengths": [xtau, ytau]},
-        diagnostics)
+        {}, diagnostics)
 
 
 def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
@@ -548,11 +525,11 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
     trivially and generate their free product.
 
     Elliptic/elliptic pairs split across a middle edge of the segment joining
-    their fixed sets; for a single elliptic x against a hyperbolic y whose
-    axis meets Fix(x), powers l = 0..order(x)-1 are searched for a split of
-    <x> * <y x^l>, and the found l is recorded in the certificate.  A `stats`
-    dict, when given, receives `powers_tried`: the powers l >= 1 that
-    search tried.
+    their fixed sets.  For an elliptic side X against a single hyperbolic y,
+    one loop over l = 0..order(x)-1 searches for a split of <X> * <y x^l>
+    (only l = 0 when X has several generators), and the found l is recorded
+    in the certificate.  A `stats` dict, when given, receives `powers_tried`: the
+    powers l >= 1 that search tried.
     """
     counts = stats if stats is not None else {}
     counts["powers_tried"] = 0
@@ -563,51 +540,41 @@ def certify_free_split(spec: AmalgamSpec, left: list[NormalForm],
         radius = default_radius(left + right)
     l_ell = all(classify(spec, g).elliptic for g in left)
     r_ell = all(classify(spec, g).elliptic for g in right)
-    if l_ell and r_ell:
-        return _split_elliptic_elliptic(spec, left, right, radius,
-                                        diagnostics, {})
     if not l_ell and not r_ell:
         if len(left) == 1 and len(right) == 1:
             return _split_hyperbolic_hyperbolic(spec, left[0], right[0],
                                                 radius, diagnostics)
         _diag(diagnostics, "mixed hyperbolic sides must be singletons")
         return None
-    # one side elliptic, the other contains a hyperbolic element
-    if l_ell:
-        ell, hyp_list = left, right
-    else:
-        ell, hyp_list = right, left
-    if len(hyp_list) != 1:
+    gx, gy = (left, right) if l_ell else (right, left)
+    if not (l_ell and r_ell) and len(gy) != 1:
         _diag(diagnostics, "the hyperbolic side must be a single element")
         return None
-    y = hyp_list[0]
-    cert = _split_elliptic_hyperbolic(spec, ell, y, radius,
-                                      diagnostics, {"ell": 0})
-    if cert is not None:
-        return cert
-    # the axis meets the fixed set: search l with <x> * <y x^l>
-    if len(ell) != 1:
-        _diag(diagnostics, "power search needs a single elliptic generator")
+    fx = _common_fixed(spec, gx, radius)
+    if not fx:
+        _diag(diagnostics, "no common fixed vertex within radius")
         return None
-    x = ell[0]
-    powers = _closure(spec, [x], SUBGROUP_CAP)
-    if powers is None:
-        _diag(diagnostics, f"generated subgroup exceeds cap {SUBGROUP_CAP}")
-        return None
-    order = len(powers)
-    power = x
-    for ell_exp in range(1, order):
-        counts["powers_tried"] += 1
+    if l_ell and r_ell:
+        return _split_elliptic_elliptic(spec, gx, fx, gy, radius,
+                                        diagnostics, {})
+    # elliptic gx, hyperbolic y: try <gx> * <y x^l> for the powers of gx's
+    # single generator x, or only l = 0 when gx has several
+    y, x = gy[0], gx[0]
+    power = identity_nf(spec)
+    for ell_exp in itertools.count():
+        counts["powers_tried"] = ell_exp
         y2 = multiply(spec, y, power)
-        power = multiply(spec, power, x)
         if classify(spec, y2).hyperbolic:
-            cert = _split_elliptic_hyperbolic(
-                spec, [x], y2, radius, diagnostics, {"ell": ell_exp})
+            cert = _split_elliptic_hyperbolic(spec, gx, fx, y2, radius,
+                                              diagnostics, {"ell": ell_exp})
         else:
-            cert = _split_elliptic_elliptic(
-                spec, [x], [y2], radius, diagnostics, {"ell": ell_exp})
+            cert = _split_elliptic_elliptic(spec, gx, fx, [y2], radius,
+                                            diagnostics, {"ell": ell_exp})
         if cert is not None:
             return cert
-    _diag(diagnostics, f"no power l in 0..{order - 1} produced a split "
+        power = multiply(spec, power, x)
+        if len(gx) > 1 or is_identity(spec, power):
+            break
+    _diag(diagnostics, f"no power l in 0..{ell_exp} produced a split "
                        f"at radius {radius}")
     return None

@@ -100,7 +100,6 @@ def _squarefree_sturm_chain(q: list[int]) -> list[list[int]]:
 class RootEnclosure(NamedTuple):
     lo: Fraction
     hi: Fraction
-    degenerate: bool = False
     unique_positive: bool = True
     # interval halvings the isolation took: a diagnostic, not in equality
     bisection_steps: int = 0
@@ -108,13 +107,13 @@ class RootEnclosure(NamedTuple):
     def __eq__(self, other):
         if not isinstance(other, RootEnclosure):
             return NotImplemented
-        return self[:4] == other[:4]
+        return self[:3] == other[:3]
 
     def __ne__(self, other):
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:4])
+        return hash(self[:3])
 
     @property
     def mid(self) -> float:
@@ -186,13 +185,11 @@ def positive_root_from_lengths(lengths, *, width: Fraction = DEFAULT_WIDTH) -> R
     positive integer lengths l_i (m = max).
 
     This is the growth exponent of the free monoid on generators of the given
-    lengths.  A single length is degenerate: the root is exactly 1.
+    lengths; for a single length l it is the exact root 1 of z^l - 1.
     """
     lengths = list(lengths)
     if not lengths or any(l < 1 or l != int(l) for l in lengths):
         raise ValueError("lengths must be positive integers")
-    if len(lengths) == 1:
-        return RootEnclosure(Fraction(1), Fraction(1), degenerate=True)
     m = max(lengths)
     coeffs = [0] * (m + 1)
     coeffs[m] = 1

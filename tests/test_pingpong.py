@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,11 +104,12 @@ def test_monoid_certificate_for_independent_hyperbolics():
     assert cert is not None
     assert cert.kind == "free-monoid"
     assert replay(entry.spec, cert)
-    # the certificate records which inputs were replaced by their inverses;
+    # each role records whether its input was replaced by its inverse;
     # positive words in the certified basis give distinct elements
     spec = entry.spec
-    basis = [invert(spec, g) if inv else g
-             for g, inv in zip(elems, cert.data["inverted"])]
+    basis = [invert(spec, g) if e["role"].endswith("^-1") else g
+             for g, e in zip(elems, cert.elements)]
+    assert basis == [nf_from_json(spec, e["nf"]) for e in cert.elements]
     seen = {}
     for n in range(5):
         for bits in itertools.product(range(2), repeat=n):
@@ -167,7 +169,10 @@ def test_certificate_json_round_trip_is_identical():
 # (entry, words, sha256 of the certificate JSON or None, patterns_tried,
 # anchors_tested), recorded with the search that rebuilt every element's
 # inverse, classification and anchors under each inversion pattern: the
-# perfbench reference's monoid jobs, then four triples
+# perfbench reference's monoid jobs, then four triples.  The certificates
+# then also carried the search radius, each element's `inverted` flag and
+# `tau`, and in `data` the inversion pattern and translation lengths;
+# `_with_older_fields` restores them before hashing.
 MONOID_SEARCHES = [
     ("pgl2z", ("b^-1 b b^-1 a c", "b c^-1 a^-1 b^-1 c^-1"), "abee9614d6f62728", 1, 34),
     ("pgl2z", ("c b^-1 a^-1", "a c^-1 b a a^-1"), "b323bd7b18fdba2e", 1, 20),
@@ -205,13 +210,87 @@ def test_monoid_search_matches_the_recorded_search(name, words, sha, patterns,
     monkeypatch.setattr(pingpong, "_forward_anchors",
                         lambda spec, g, cls: built.append(g) or real(spec, g, cls))
     stats = {}
-    cert = certify_free_monoid(entry.spec, _elements(entry, *words), stats=stats)
-    got = None if cert is None else hashlib.sha256(
-        json.dumps(cert.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+    inputs = _elements(entry, *words)
+    cert = certify_free_monoid(entry.spec, inputs, stats=stats)
+    got = None if cert is None else _sha(
+        _with_older_fields(entry.spec, cert.to_json(), inputs))
     assert (got, stats) == (sha, {"patterns_tried": patterns,
                                   "anchors_tested": anchors})
     # each (element, inversion) builds its anchors at most once
     assert len(built) <= 2 * len(words)
+
+
+def _sha(d):
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _with_older_fields(spec, d, inputs):
+    """A monoid certificate's JSON with the fields older payloads carried
+    beside it: the default search radius, each element's `inverted` flag
+    (read from its role) and `tau` (from `classify`), and their copies in
+    `data`."""
+    assert set(d) == set(PingPongCertificate._fields) and d["data"] == {}
+    inverted = [e["role"].endswith("^-1") for e in d["elements"]]
+    taus = [classify(spec, nf_from_json(spec, e["nf"])).tau
+            for e in d["elements"]]
+    return dict(d, radius=pingpong.default_radius(inputs),
+                elements=[dict(e, inverted=i, tau=t) for e, i, t
+                          in zip(d["elements"], inverted, taus)],
+                data={"inverted": inverted, "translation_lengths": taus})
+
+
+# (entry, (left word, right word), sha256 of the certificate JSON or None,
+# data's `ell`, powers_tried) for the perfbench reference's split jobs at the
+# default radius, recorded with the search that tried l = 0 apart from its
+# power search and closed each finite subgroup twice, with the fields that
+# search also wrote (`radius`, the elements' `tau`, every `data` key but
+# `ell`) removed
+SPLIT_SEARCHES = [
+    ("pgl2z", ("a a c^-1 b", "a^-1 c"), "5c755cff54e43f04", 1, 1),
+    ("pgl2z", ("b^-1 c^-1", "c a^-1 c a^-1"), "1c59c36e78c116cb", 2, 2),
+    ("pgl2z", ("c", "a b a^-1 b a^-1"), None, None, 0),
+    ("pgl2z", ("a b^-1 b^-1", "a c^-1 a^-1"), None, None, 0),
+    ("pgl2z", ("b^-1 c", "b^-1 a b c c^-1"), None, None, 1),
+    ("c2*c3", ("b^-1 a^-1", "a^-1 b^-1 b^-1"), None, None, 0),
+    ("c2*c3", ("a a b", "a b^-1 b^-1 a"), "4b1301b38157b8f3", None, 0),
+    ("c2*c3", ("b^-1 a", "a a b b"), "fd660753aa72826b", 2, 2),
+    ("c2*c3", ("a b^-1", "b b"), "52a2e0931028bea3", 2, 2),
+    ("c2*c3", ("a", "b^-1 a b b^-1 a^-1"), "727f510f05989288", None, 0),
+    ("c2*c4", ("b^-1 a", "a b^-1 b"), "d8263767531c6cb5", 1, 1),
+    ("c2*c4", ("b^-1 a^-1 b^-1 a b^-1", "b a a^-1 b^-1 b"),
+     "73eb24acc74c560e", 2, 2),
+    ("c2*c4", ("b^-1 a^-1 a^-1 b^-1 b^-1", "a^-1 b^-1 a^-1 b b"),
+     "457d6896456b5db1", 2, 2),
+    ("c2*c4", ("a^-1", "b^-1 b^-1 a^-1"), "2180a8f71e453576", 1, 1),
+    ("c2*c4", ("b a^-1 b^-1 b", "a a^-1 a^-1 a^-1 a"), "9dddd398c7ee17f8", 1, 1),
+    ("c2*c5", ("a a a b", "b a^-1"), None, None, 0),
+    ("c2*c5", ("b^-1 a b^-1 b^-1", "b a^-1 b^-1 b^-1"), None, None, 0),
+    ("c2*c5", ("a a a b b", "a b"), None, None, 0),
+    ("c2*c5", ("b^-1 b^-1 b^-1", "a^-1 b^-1 a"), "ac2c19685b14dbe9", None, 0),
+    ("c2*c5", ("b^-1 a^-1 b a", "a b a b b"), None, None, 0),
+]
+
+
+@pytest.mark.parametrize("name, words, sha, ell, powers", SPLIT_SEARCHES)
+def test_split_search_matches_the_recorded_search(name, words, sha, ell,
+                                                  powers, monkeypatch):
+    entry = catalog_load(name)
+    fixed, closed = [], []
+    real_fixed, real_closure = pingpong._common_fixed, pingpong._closure
+    monkeypatch.setattr(pingpong, "_common_fixed", lambda spec, gens, radius:
+                        fixed.append(tuple(gens)) or real_fixed(spec, gens, radius))
+    monkeypatch.setattr(pingpong, "_closure", lambda spec, gens, cap:
+                        closed.append(tuple(gens)) or real_closure(spec, gens, cap))
+    left, right = ([parse_word(entry, w)] for w in words)
+    stats = {}
+    cert = certify_free_split(entry.spec, left, right, stats=stats)
+    got = None if cert is None else _sha(cert.to_json())
+    assert (got, stats) == (sha, {"powers_tried": powers})
+    assert (cert.data.get("ell") if cert else None) == ell
+    # each fixed set is computed once, and each certificate closes each of
+    # its finite subgroups once, in `_obligations`
+    assert len(fixed) == len(set(fixed))
+    assert len(closed) == len(set(closed)) <= 2 * (cert is not None)
 
 
 def _drop(key):
@@ -265,7 +344,9 @@ def _without_disjoint(d):
         nf=nf_to_json(parse_word(catalog_load("pgl2z"), "a"))),
     _without_disjoint,
     lambda d: d["sets"][0]["w"].update(key=[[1, 1], [1, 1]]),
-    lambda d: d["elements"][0].update(inverted=True),
+    # the role is the one statement of an element's inversion: flipped, it
+    # no longer gives the listed conclusion
+    lambda d: d["elements"][0].update(role="x1^-1"),
     lambda d: d.update(conclusion=d["conclusion"].replace("x2", "x2^-1")),
     # X1 = H(u, w) with w a child of u; the base vertex is canonical and two
     # steps from w, so only the edge check tells this set from X1
@@ -280,6 +361,69 @@ def test_replay_requires_the_obligations_of_the_shape(mutate):
     assert not replay(entry.spec, PingPongCertificate.from_json(d))
 
 
+# `certify pgl2z --mode monoid --elements "b c" "a b c"` and `certify pgl2z
+# --mode split --left b --right "b c"` as written before certificates held
+# only their claim and witness: beside it they carry `radius`, the monoid
+# elements' `inverted` and `tau`, and `data`'s inversion pattern,
+# translation lengths, subgroup orders and fixed-set distance
+OLDER_PAYLOADS = [
+    json.loads(
+        '{"checks":[{"check":"maps_into","g":{"head":1,"syllables":[[0,1],[1,'
+        '2]]},"source":0,"target":0},{"check":"maps_into","g":{"head":1,'
+        '"syllables":[[0,1],[1,2]]},"source":1,"target":0},{"check":"disjoint",'
+        '"sets":[0,1]},{"check":"hyperbolic","g":{"head":1,"syllables":[[0,1],'
+        '[1,2]]},"tau":2},{"check":"maps_into","g":{"head":0,"syllables":[[0,'
+        '1],[1,1]]},"source":0,"target":1},{"check":"maps_into","g":{"head":0,'
+        '"syllables":[[0,1],[1,1]]},"source":1,"target":1},'
+        '{"check":"hyperbolic","g":{"head":0,"syllables":[[0,1],[1,1]]},'
+        '"tau":2}],"conclusion":"positive words in {x1,'
+        ' x2} are pairwise distinct (free monoid)","data":{"inverted":[false,'
+        'false],"translation_lengths":[2,2]},"elements":[{"inverted":false,'
+        '"nf":{"head":1,"syllables":[[0,1],[1,2]]},"role":"x1","tau":2},'
+        '{"inverted":false,"nf":{"head":0,"syllables":[[0,1],[1,1]]},'
+        '"role":"x2","tau":2}],"kind":"free-monoid","radius":8,'
+        '"sets":[{"label":"X1","u":{"key":[[0,1]],"side":1},"w":{"key":[[0,1],'
+        '[1,2]],"side":0}},{"label":"X2","u":{"key":[[0,1]],"side":1},'
+        '"w":{"key":[[0,1],[1,1]],"side":0}}],"spec_hash":"dfe003bd49a7e678"}'
+    ),
+    json.loads(
+        '{"checks":[{"check":"disjoint","sets":[0,1]},{"check":"maps_into",'
+        '"g":{"head":0,"syllables":[[0,1]]},"source":1,"target":0},'
+        '{"check":"maps_into","g":{"head":1,"syllables":[[0,1],[1,2],[0,1]]},'
+        '"source":0,"target":1},{"check":"hyperbolic","g":{"head":1,'
+        '"syllables":[[1,2],[0,1]]},"tau":2}],'
+        '"conclusion":"the generated subgroups (orders 2,'
+        ' 2) generate their free product","data":{"ell":1,"fixed_distance":1,'
+        '"left_order":2,"right_order":2},"elements":[{"nf":{"head":0,'
+        '"syllables":[[0,1]]},"role":"left"},{"nf":{"head":1,"syllables":[[0,'
+        '1],[1,2],[0,1]]},"role":"right"}],"kind":"free-product-split",'
+        '"radius":8,"sets":[{"label":"X","u":{"key":[[0,1]],"side":1},'
+        '"w":{"key":[],"side":0}},{"label":"Y","u":{"key":[],"side":0},'
+        '"w":{"key":[[0,1]],"side":1}}],"spec_hash":"dfe003bd49a7e678"}'
+    ),
+]
+
+
+def test_older_payloads_still_replay():
+    spec = catalog_load("pgl2z").spec
+    monoid, split = OLDER_PAYLOADS
+    assert monoid["radius"] == split["radius"] == 8
+    assert [set(e) for e in monoid["elements"]] == [{"role", "nf", "inverted", "tau"}] * 2
+    assert set(monoid["data"]) == {"inverted", "translation_lengths"}
+    assert set(split["data"]) == {"ell", "fixed_distance", "left_order", "right_order"}
+    for d in OLDER_PAYLOADS:
+        assert replay(spec, PingPongCertificate.from_json(copy.deepcopy(d)))
+    # certifying the same elements again gives the same claim and witness
+    entry = catalog_load("pgl2z")
+    again = [certify_free_monoid(spec, _elements(entry, "b c", "a b c")),
+             certify_free_split(spec, _elements(entry, "b"),
+                                _elements(entry, "b c"))]
+    for d, cert in zip(OLDER_PAYLOADS, again):
+        assert cert.to_json() == PingPongCertificate.from_json(d).to_json() | {
+            "elements": [{"role": e["role"], "nf": e["nf"]} for e in d["elements"]],
+            "data": {k: v for k, v in d["data"].items() if k == "ell"}}
+
+
 def _orders_7_3(d):
     # orders and conclusion changed together, consistent with each other
     d["data"].update(left_order=7, right_order=3)
@@ -290,26 +434,45 @@ def _orders_7_3(d):
     (lambda d: None, True),
     (lambda d: d.update(conclusion="the generated subgroups (orders 3, 3) "
                                    "generate their free product"), False),
-    (lambda d: d["data"].update(left_order=7), False),
-    (lambda d: d["data"].update(right_order=3), False),
+    # `replay` never reads `data`: the orders the older payload states there
+    # are ignored, and so is the power, a hint: the certificate is about the
+    # right element it lists, (b c) b here, whatever `ell` says
+    (lambda d: d["data"].update(left_order=7), True),
+    (lambda d: d["data"].update(right_order=3), True),
     (_orders_7_3, False),
-    (lambda d: d["data"].pop("left_order"), False),
-    (lambda d: d.update(data=[]), False),
-    # the power is a hint: the certificate is about the right element it
-    # lists, (b c) b here, whatever `ell` says
+    (lambda d: d["data"].pop("left_order"), True),
+    (lambda d: d.update(data=[]), True),
     (lambda d: d["data"].update(ell=0), True),
 ], ids=["valid", "conclusion-orders-3-3", "left-order-7", "right-order-3",
         "orders-and-conclusion-7-3", "no-left-order", "data-not-a-dict",
         "ell-0"])
 def test_replay_binds_the_conclusion_and_the_subgroup_orders(mutate, accepted):
-    entry = catalog_load("pgl2z")
-    cert = certify_free_split(entry.spec, _elements(entry, "b"),
-                              _elements(entry, "b c"))
-    assert cert.data["ell"] == 1
-    assert "orders 2, 2" in cert.conclusion
-    d = copy.deepcopy(cert.to_json())
+    # the split of b and b c as an older payload wrote it: the subgroup
+    # orders stand in the conclusion and again in `data`
+    d = copy.deepcopy(OLDER_PAYLOADS[1])
+    assert d["data"]["ell"] == 1 and "orders 2, 2" in d["conclusion"]
     mutate(d)
-    assert replay(entry.spec, PingPongCertificate.from_json(d)) is accepted
+    spec = catalog_load("pgl2z").spec
+    assert replay(spec, PingPongCertificate.from_json(d)) is accepted
+
+
+def test_certificates_hold_only_the_claim_and_its_witness():
+    for _, d in _one_certificate_per_shape():
+        assert list(d) == ["kind", "spec_hash", "elements", "sets", "checks",
+                           "conclusion", "data"]
+        assert all(set(e) == {"role", "nf"} for e in d["elements"])
+        assert set(d["data"]) <= {"ell"}
+
+
+def test_an_over_cap_subgroup_surfaces_from_the_certificate(monkeypatch):
+    # <b> has order 3 in C2*C3: below that cap the split's obligations
+    # cannot be derived
+    entry = catalog_load("c2*c3")
+    monkeypatch.setattr(pingpong, "SUBGROUP_CAP", 2)
+    diags = []
+    assert certify_free_split(entry.spec, _elements(entry, "a"),
+                              _elements(entry, "b"), diagnostics=diags) is None
+    assert diags == ["generated subgroup exceeds cap 2"]
 
 
 def _hyperbolic_pair():
@@ -598,9 +761,13 @@ def test_split_certificate_is_sound_on_samples():
     # the certificate may replace y by y x^l; the free basis is (x, y')
     for _ in range(cert.data.get("ell") or 0):
         y = multiply(spec, y, x)
+    assert [e["nf"] for e in cert.elements] == [nf_to_json(x), nf_to_json(y)]
     # alternating products x y^e1 x y^e2 ... with exponents below the
-    # certified factor orders are never trivial
-    exps = tuple(range(1, cert.data["right_order"]))
+    # certified factor orders, as the conclusion states them, are never
+    # trivial
+    _, right_order = map(int, re.search(r"orders (\d+), (\d+)",
+                                        cert.conclusion).groups())
+    exps = tuple(range(1, right_order))
     for repeat in (1, 2, 3, 4):
         for pattern in itertools.product(exps, repeat=repeat):
             g = identity_nf(spec)

@@ -47,6 +47,10 @@ def test_positive_root_from_lengths():
     # lengths (2, 3) give the plastic number, root of z^3 - z - 1
     enc = positive_root_from_lengths([2, 3])
     assert abs(enc.mid ** 3 - enc.mid - 1) < 1e-6
+    # a single length l: the exact root 1 of z^l - 1, on the general path
+    for l in (1, 2, 3, 7):
+        enc = positive_root_from_lengths([l])
+        assert (enc.lo, enc.hi, enc.unique_positive) == (1, 1, True), l
 
 
 def test_largest_positive_root_picks_largest():
@@ -174,7 +178,7 @@ def test_sturm_path_across_a_degree_gap(r1, r2, shift, scale, width):
 def test_descartes_path_enclosures_pinned(p, lo, hi, steps):
     enc = largest_positive_root(p)
     assert (enc.lo, enc.hi, enc.bisection_steps) == (lo, hi, steps)
-    assert enc.unique_positive and not enc.degenerate
+    assert enc.unique_positive
 
 
 def test_root_enclosures_record_bisection_steps():
@@ -186,7 +190,8 @@ def test_root_enclosures_record_bisection_steps():
     assert enc.bisection_steps == 43
     assert dominant_root(Recurrence(order=2, coefficients=(Fraction(1), Fraction(1)),
                                     initial=(1, 1), guard=0)).bisection_steps == 41
-    assert positive_root_from_lengths([3]).bisection_steps == 0
+    # one length l: z^l - 1, whose exact root 1 is the bracket's first midpoint
+    assert positive_root_from_lengths([3]).bisection_steps == 1
     # the count is a diagnostic: it does not enter equality
     assert enc._replace(bisection_steps=0) == enc
 
@@ -197,7 +202,7 @@ def test_root_enclosure_equality_ignores_only_bisection_steps():
     assert same == enc and not same != enc and hash(same) == hash(enc)
     assert len({enc, same}) == 1
     for field, value in (("lo", Fraction(0)), ("hi", Fraction(3)),
-                         ("degenerate", True), ("unique_positive", False)):
+                         ("unique_positive", False)):
         other = enc._replace(**{field: value})
         assert other != enc and not other == enc
 
@@ -396,7 +401,7 @@ def test_lpv_bound_values():
 
 def test_enclosure_width_request():
     enc = largest_positive_root([-1, -1, 1], width=Fraction(1, 10**15))
-    assert enc.width <= Fraction(1, 10**15) or enc.degenerate
+    assert enc.width <= Fraction(1, 10**15)
 
 
 def _horner(p, x):

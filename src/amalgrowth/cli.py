@@ -155,20 +155,20 @@ def cmd_growth(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .tree import classify, vertex_json
+    from .tree import classify, vertex_json, witness_holds
 
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = _radius(args, 2 * len(g.syllables))
-    cls = classify(entry.spec, g, radius=radius)
+    cls = classify(entry.spec, g)
+    if not witness_holds(entry.spec, g, cls):
+        raise CliError(f"{cls.verdict} with tau={cls.tau} fails its "
+                       f"two-action proof at {vertex_json(cls.witness)}")
     report = _provenance(entry, args)
     report["word"] = args.word
     report["element"] = describe_nf(entry.spec, g)
     report["verdict"] = cls.verdict
     report["tau"] = cls.tau
     report["witness"] = vertex_json(cls.witness)
-    report["radius"] = radius
-    report["cross_checked"] = cls.cross_checked
     _emit(report, args.out)
     return EXIT_OK
 
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("word", help="word over the entry alphabet, "
                                 "e.g. 'a b c^-1'")
-    p.add_argument("--radius", type=int)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("certify", help="emit a replayable ping-pong "

@@ -339,11 +339,12 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     replacements) generate a free monoid: pairwise disjoint half-trees X_i
     with x_i(X_j) contained in X_i for all i, j.
 
-    Returns None when no candidate family works at this radius
-    (inconclusive, not a refutation).  A `stats` dict, when given, receives
-    the search counters: `patterns_tried` (inversion patterns searched) and
-    `anchors_tested` (candidate half-trees tested against the family chosen
-    so far).
+    Returns None when no candidate family works (inconclusive, not a
+    refutation).  The search reads one axis window per element and does not
+    depend on `radius`, which callers pass as to `certify_free_split`.  A
+    `stats` dict, when given, receives the search counters: `patterns_tried`
+    (inversion patterns searched) and `anchors_tested` (candidate half-trees
+    tested against the family chosen so far).
     """
     counts = stats if stats is not None else {}
     counts.update(patterns_tried=0, anchors_tested=0)
@@ -351,8 +352,6 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     if k < 2:
         _diag(diagnostics, "need at least two elements")
         return None
-    if radius is None:
-        radius = default_radius(elements)
     base_cls = [classify(spec, g) for g in elements]
     if any(c.elliptic for c in base_cls):
         _diag(diagnostics, "an element is elliptic; no attracting half-tree")
@@ -400,8 +399,7 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
         return _certificate(
             spec, "free-monoid", list(zip(names, els)),
             [(f"X{i+1}", h) for i, h in enumerate(chosen)], {}, diagnostics)
-    _diag(diagnostics, "no disjoint absorbing half-tree family found "
-                       f"at radius {radius}")
+    _diag(diagnostics, "no disjoint absorbing half-tree family found")
     return None
 
 

@@ -149,57 +149,50 @@ def displacement(spec: AmalgamSpec, g: NormalForm, v: TreeVertex) -> int:
 
 
 class Classification(NamedTuple):
-    verdict: str                      # "elliptic" | "hyperbolic"
-    tau: int
-    witness: TreeVertex
-    cross_checked: bool = False
+    tau: int                          # translation length; 0 iff elliptic
+    witness: TreeVertex               # fixed by g, or on its axis
+
+    @property
+    def verdict(self) -> str:
+        return "hyperbolic" if self.tau else "elliptic"
 
     @property
     def elliptic(self) -> bool:
-        return self.verdict == "elliptic"
+        return self.tau == 0
 
     @property
     def hyperbolic(self) -> bool:
-        return self.verdict == "hyperbolic"
+        return self.tau > 0
 
 
-def classify(spec: AmalgamSpec, g: NormalForm,
-             radius: int | None = None) -> Classification:
-    """Elliptic/hyperbolic verdict with translation length and a witness
-    vertex (fixed by g, or on its axis).
-
-    Primary path: cyclic reduction.  A core of syllable length <= 1 lies in a
-    factor up to conjugacy (elliptic); otherwise the core is alternating with
-    ends on different sides, the translation length equals its syllable
-    length (even), and the conjugated base vertices lie on the axis.
-
-    When a radius is supplied the verdict is cross-checked by minimising
-    d(v, g.v) over the ball of that radius around the base; radius >=
-    2 * syllable length is sufficient for the minimum to be attained.
-    """
+def classify(spec: AmalgamSpec, g: NormalForm) -> Classification:
+    """Translation length and a witness vertex (fixed by g, or on its axis),
+    by cyclic reduction.  A core of syllable length <= 1 lies in a factor up
+    to conjugacy (elliptic); otherwise the core is alternating with ends on
+    different sides, the translation length equals its syllable length
+    (even), and the conjugated base vertex lies on the axis.  The action has
+    no inversions, so every element is elliptic or hyperbolic (Serre,
+    *Trees*, I.6.4, Prop. 24-25); `witness_holds` proves a result with two
+    actions."""
     core, conj = cyclic_reduce(spec, g)
     n = len(core.syllables)
-    if n <= 1:
-        if n == 0:
-            w = act(spec, conj, BASE_A)
-        else:
-            w = act(spec, conj, base_vertex(core.syllables[0][0]))
-        cls = Classification("elliptic", 0, w)
-    else:
-        assert n % 2 == 0, "translation lengths on the bipartite tree are even"
-        w = act(spec, conj, BASE_A)
-        cls = Classification("hyperbolic", n, w)
-    if radius is None:
-        return cls
-    needed = 2 * len(g.syllables)
-    verified = radius >= needed
-    if verified:
-        m = min(displacement(spec, g, v) for v in ball(spec, BASE_A, radius))
-        if m != cls.tau:
-            raise AssertionError(
-                f"classification cross-check failed: ball minimum {m}, "
-                f"cyclic reduction gives {cls.tau}")
-    return cls._replace(cross_checked=verified)
+    tau = n if n > 1 else 0
+    assert tau % 2 == 0, "translation lengths on the bipartite tree are even"
+    side = core.syllables[0][0] if n == 1 else SIDE_A
+    return Classification(tau, act(spec, conj, base_vertex(side)))
+
+
+def witness_holds(spec: AmalgamSpec, g: NormalForm,
+                  cls: Classification) -> bool:
+    """Whether two actions on the witness w prove `cls` for g: g.w = w
+    proves g elliptic, and d(w, g.w) = tau > 0 with d(w, g^2.w) = 2 tau
+    proves g hyperbolic with translation length tau and w on its axis.  Off
+    the axis both distances exceed these by 2 d(w, axis); for an elliptic
+    g, d(w, g^2.w) <= d(w, g.w)."""
+    w = cls.witness
+    return (tree_distance(w, act(spec, g, w)) == cls.tau
+            and tree_distance(w, act(spec, multiply(spec, g, g), w))
+            == 2 * cls.tau)
 
 
 class VerdictError(ValueError):

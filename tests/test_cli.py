@@ -241,7 +241,38 @@ def test_classify_json(capsys):
     report = _json_out(capsys)
     assert report["verdict"] == "hyperbolic"
     assert report["tau"] == 2
-    assert report["cross_checked"]
+    # the verdict is proved by two actions on the witness, not a ball scan
+    assert "cross_checked" not in report and "radius" not in report
+
+
+def test_classify_scans_no_ball(capsys, monkeypatch):
+    # a ball scan about the base to radius 2 * 12 would not finish
+    def no_ball(*args):
+        raise AssertionError("classify scanned a ball")
+
+    monkeypatch.setattr("amalgrowth.tree.ball", no_ball)
+    word = " ".join(["a b"] * 6)
+    assert cli.main(["classify", "c2*c5", word]) == 0
+    report = _json_out(capsys)
+    assert (report["verdict"], report["tau"]) == ("hyperbolic", 12)
+    assert "cross_checked" not in report and "radius" not in report
+
+
+def test_classify_refuses_a_verdict_its_witness_does_not_prove(
+        capsys, monkeypatch):
+    from amalgrowth import tree
+
+    real = tree.classify
+
+    def wrong_tau(spec, g):
+        cls = real(spec, g)
+        return cls._replace(tau=cls.tau + 2)
+
+    monkeypatch.setattr(tree, "classify", wrong_tau)
+    assert cli.main(["classify", "c2*c3", "a b"]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_certify_monoid_round_trip(tmp_path):
@@ -346,6 +377,7 @@ def test_root_lengths_and_poly(capsys):
     ["growth", "c2*c3", "--budget", "-5", "--nmax", "3"],
     ["fixedset", "c2*c3", "a", "--radius", "-1"],
     ["axis", "c2*c3", "a b", "--radius", "-1"],
+    # classify takes no --radius: an unknown option is a usage error
     ["classify", "c2*c3", "a b", "--radius", "-1"],
     ["certify", "c2*c3", "--mode", "monoid", "--radius", "-1",
      "--elements", "a b", "b a b"],

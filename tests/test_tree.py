@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amalgrowth.amalgam import (
     SIDE_A,
@@ -29,7 +31,9 @@ from amalgrowth.tree import (
     nearest_pair,
     neighbors,
     tree_distance,
+    witness_holds,
 )
+from amalgrowth.verify import _min_displacement
 
 
 def _bfs_distance(spec, u: TreeVertex, v: TreeVertex,
@@ -141,12 +145,57 @@ def test_classify_factor_elements_are_elliptic():
 def test_classify_hyperbolic_translation_length():
     entry = catalog_load("c2*c3")
     ab = parse_word(entry, "a b")
-    cls = classify(entry.spec, ab, radius=6)
+    cls = classify(entry.spec, ab)
     assert cls.hyperbolic
     assert cls.tau == 2
-    assert cls.cross_checked
+    assert witness_holds(entry.spec, ab, cls)
     w = cls.witness
     assert tree_distance(w, act(entry.spec, ab, w)) == 2
+
+
+@st.composite
+def _short_elements(draw):
+    """(spec, g) for a catalog entry and a word of <= 4 syllables over its
+    alphabet and the inverses."""
+    entry = catalog_load(draw(st.sampled_from(catalog_names())))
+    letters = draw(st.lists(st.tuples(st.sampled_from(sorted(entry.alphabet)),
+                                      st.sampled_from((1, -1))),
+                            min_size=1, max_size=6))
+    g = reduce_word(entry.spec, Word(tuple(letters)), entry.alphabet)
+    assume(len(g.syllables) <= 4)
+    return entry.spec, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_elements())
+def test_witness_holds_and_tau_is_the_least_displacement(case):
+    spec, g = case
+    cls = classify(spec, g)
+    assert witness_holds(spec, g, cls)
+    assert cls.tau == _min_displacement(spec, g)
+    # a wrong translation length fails the proof
+    assert not witness_holds(spec, g, cls._replace(tau=cls.tau + 2))
+    if cls.tau >= 2:
+        assert not witness_holds(spec, g, cls._replace(tau=cls.tau - 2))
+    w = cls.witness
+    if cls.hyperbolic:
+        # so does a witness off the axis: the witness lies on side A, of
+        # degree [A:C] = 2 in every catalog entry, so its neighbours are on
+        # the axis and the nearest vertices off it are two steps away
+        off = [v for v in ball(spec, w, 2) if displacement(spec, g, v) != cls.tau]
+        assert off or len(spec.transA.reps) == len(spec.transB.reps) == 2
+        for v in off:
+            assert not witness_holds(spec, g, cls._replace(witness=v))
+    else:
+        # and, for an elliptic g, a witness that g moves
+        moved = next((v for v in ball(spec, w, 4) if act(spec, g, v) != v),
+                     None)
+        if moved is not None:
+            assert not witness_holds(spec, g, cls._replace(witness=moved))
+            # nor does one action prove a hyperbolic claim: d(v, g^2.v) <=
+            # d(v, g.v) for an elliptic g
+            fake = cls._replace(tau=displacement(spec, g, moved), witness=moved)
+            assert not witness_holds(spec, g, fake)
 
 
 def test_classify_conjugates_preserve_verdict():

@@ -20,8 +20,6 @@ from .amalgam import (
     make_amalgam,
     make_genset,
     multiply,
-    nf_from_json,
-    nf_to_json,
     reduce_word,
 )
 from .catalog import catalog_load, catalog_names, parse_word
@@ -34,7 +32,8 @@ _LAZY = {
     **dict.fromkeys(("GrowthTable", "enumerate_balls", "rate", "shortest_word"),
                     "growth"),
     **dict.fromkeys(("PingPongCertificate", "certify_free_monoid",
-                     "certify_free_split", "replay"), "pingpong"),
+                     "certify_free_split", "nf_from_json", "nf_to_json",
+                     "replay"), "pingpong"),
     **dict.fromkeys(("FittedRate", "Recurrence", "RootEnclosure",
                      "WeightedAlphabet", "count_avoiding", "dominant_root",
                      "fit_rate", "fit_recurrence", "largest_positive_root",

@@ -5,22 +5,23 @@ An element is written g = s1 s2 ... sn * c where the si are non-identity
 coset representatives strictly alternating between the A and B factors, and
 the head c lies in C (appended on the right).  Free products are the special
 case of trivial C.  Uniqueness of this form makes equality testing, and
-therefore exact ball enumeration, a tuple comparison.  The ball enumerator
-packs each form into one int (`encode_flat`: one base-2^w digit per
-syllable, the head lowest) and right-multiplies by a whole letter set through
-one `StepTable`, which rewrites only the low digits, so elements that share
-them step together as one class; `multiply` stays the reference arithmetic.
+therefore exact ball enumeration, a tuple comparison.  `multiply` is the
+reference arithmetic; the ball enumerator works on a packed int form of its
+own (`growth.encode_flat`).
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import NamedTuple
 
 from .groups import Embedding, FiniteGroup, Transversal, coset_transversal
 
 SIDE_A = 0
 SIDE_B = 1
+
+
+# `spec_hash` results by the id of their spec; each entry holds its spec,
+# so no id is reused while its entry stands
+_HASHES: dict[int, tuple[AmalgamSpec, str]] = {}
 
 
 class AmalgamSpec(NamedTuple):
@@ -32,11 +33,9 @@ class AmalgamSpec(NamedTuple):
     embB: Embedding
     transA: Transversal
     transB: Transversal
-    # bits per digit of the packed form (`encode_flat`): enough for a
+    # bits per digit of the packed form (`growth.encode_flat`): enough for a
     # syllable digit 1 + side + 2 * rep and for a head in C
     digit_bits: int
-    # `spec_hash()`, computed once
-    digest: str
 
     @property
     def branching(self) -> bool:
@@ -54,21 +53,27 @@ class AmalgamSpec(NamedTuple):
         return self.transA if side == SIDE_A else self.transB
 
     def spec_hash(self) -> str:
-        """16 hex digits of the sha256 of the tables and embeddings."""
-        return self.digest
+        """16 hex digits of the sha256 of the tables and embeddings, computed
+        on the first call: loading a spec hashes nothing."""
+        hit = _HASHES.get(id(self))
+        if hit is None:
+            import hashlib
+            import json
+            payload = {"A": self.A.mul, "B": self.B.mul, "C": self.C.mul,
+                       "embA": self.embA.image, "embB": self.embB.image}
+            blob = json.dumps(payload, sort_keys=True, default=list).encode()
+            digest = hashlib.sha256(blob).hexdigest()[:16]
+            hit = _HASHES[id(self)] = (self, digest)
+        return hit[1]
 
 
 def make_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
                  embA: Embedding, embB: Embedding) -> AmalgamSpec:
-    payload = {"A": A.mul, "B": B.mul, "C": C.mul,
-               "embA": embA.image, "embB": embB.image}
-    blob = json.dumps(payload, sort_keys=True, default=list).encode()
     return AmalgamSpec(
         A=A, B=B, C=C, embA=embA, embB=embB,
         transA=coset_transversal(A, embA),
         transB=coset_transversal(B, embB),
         digit_bits=max(2 * max(A.order, B.order), C.order - 1).bit_length(),
-        digest=hashlib.sha256(blob).hexdigest()[:16],
     )
 
 
@@ -122,60 +127,6 @@ def multiply(spec: AmalgamSpec, x: NormalForm, y: NormalForm) -> NormalForm:
         head = _append_factor(spec, syl, head, side, elem)
     head = spec.C.mul[head][y.head]
     return NormalForm(tuple(syl), head)
-
-
-def encode_flat(spec: AmalgamSpec, x: NormalForm) -> int:
-    """The packed form of x, the BFS engine's element and set key: one int in
-    base 2^w (w = `spec.digit_bits`) with the head as the lowest digit and
-    each syllable above it as the digit 1 + side + 2 * rep, the last syllable
-    lowest.  Syllable digits are never 0, so the value alone fixes the
-    length."""
-    w = spec.digit_bits
-    v = 0
-    for side, rep in x.syllables:
-        v = v << w | 1 + side + 2 * rep
-    return v << w | x.head
-
-
-def decode_flat(spec: AmalgamSpec, v: int) -> NormalForm:
-    w = spec.digit_bits
-    m = (1 << w) - 1
-    head = v & m
-    syl = []
-    v >>= w
-    while v:
-        d = (v & m) - 1
-        syl.append((d & 1, d >> 1))
-        v >>= w
-    return NormalForm(tuple(reversed(syl)), head)
-
-
-class StepTable(dict):
-    """Right multiplication of packed forms by every letter of a list.
-
-    Each syllable of a letter merges with at most one trailing syllable of x,
-    so with K the syllable length of the longest letter only the tail
-    x & mask (the last K syllables and the head) changes: x * letter ==
-    (x >> shift) << s | t, shift = (K + 1) * w, where (t, s) is the packed
-    product of the tail and the letter and its bit width.  The table maps a
-    tail to those pairs in letter order and fills itself on first use.
-    """
-
-    def __init__(self, spec: AmalgamSpec, letters: list[NormalForm]):
-        super().__init__()
-        self.spec = spec
-        self.letters = letters
-        self.shift = (max((len(l.syllables) for l in letters), default=0)
-                      + 1) * spec.digit_bits
-        self.mask = (1 << self.shift) - 1
-
-    def __missing__(self, tail: int) -> tuple[tuple[int, int], ...]:
-        spec, w = self.spec, self.spec.digit_bits
-        x = decode_flat(spec, tail)
-        products = [multiply(spec, x, l) for l in self.letters]
-        row = self[tail] = tuple((encode_flat(spec, y), (len(y.syllables) + 1) * w)
-                                 for y in products)
-        return row
 
 
 def invert(spec: AmalgamSpec, x: NormalForm) -> NormalForm:
@@ -258,42 +209,3 @@ def make_genset(spec: AmalgamSpec, named: list[tuple[str, NormalForm]]) -> GenSe
         if is_identity(spec, g):
             raise GenSetError(f"generator {n} is the identity")
     return GenSet(tuple(names), tuple(elements))
-
-
-def nf_to_json(x: NormalForm) -> dict:
-    return {"syllables": [list(s) for s in x.syllables], "head": x.head}
-
-
-def syllables_from_json(spec: AmalgamSpec, raw) -> tuple[tuple[int, int], ...]:
-    """An alternating syllable string of non-identity transversal reps, as
-    stored by `nf_to_json`; ValueError when `raw` is not one."""
-    out: list[tuple[int, int]] = []
-    for s in raw:
-        side, rep = s
-        if (type(side) is not int or type(rep) is not int
-                or side not in (SIDE_A, SIDE_B)
-                or rep == spec.factor(side).identity
-                or rep not in spec.transversal(side).reps
-                or (out and out[-1][0] == side)):
-            raise ValueError(f"not an alternating syllable string: {raw!r}")
-        out.append((side, rep))
-    return tuple(out)
-
-
-def nf_from_json(spec: AmalgamSpec, d: dict) -> NormalForm:
-    """The normal form stored by `nf_to_json`; ValueError when `d` is not a
-    normal form of this spec."""
-    head = d["head"]
-    if type(head) is not int or not 0 <= head < spec.C.order:
-        raise ValueError(f"head {head!r} is not an element of C")
-    return NormalForm(syllables_from_json(spec, d["syllables"]), head)
-
-
-def describe_nf(spec: AmalgamSpec, x: NormalForm) -> str:
-    parts = []
-    for side, elem in x.syllables:
-        fac = spec.factor(side)
-        parts.append(("A:" if side == SIDE_A else "B:") + fac.labels[elem])
-    if x.head != spec.C.identity or not parts:
-        parts.append("C:" + spec.C.labels[x.head])
-    return ".".join(parts)

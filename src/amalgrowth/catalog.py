@@ -1,14 +1,6 @@
 """Built-in named amalgam specifications with documented expected quantities,
-one row of data per entry read by `catalog_load`, plus the letter-minimal
-normal-form enumerator for the pgl2z entry.
-
-The pgl2z enumerator generates all words of the shape
-
-    U c M1 c M2 c ... c M_{j-1} c V
-
-with U, V in {empty, a, b, ab} and every middle block in {b, ab}; these words
-are letter-minimal and pairwise distinct, so their per-length counts are an
-oracle for Cayley-sphere sizes that is independent of ball enumeration.
+one row of data per entry read by `catalog_load`.  The oracles that check the
+documented quantities live in `verify`.
 """
 from __future__ import annotations
 
@@ -23,10 +15,8 @@ from .amalgam import (
     NormalForm,
     Word,
     factor_nf,
-    identity_nf,
     make_amalgam,
     make_genset,
-    multiply,
     reduce_word,
 )
 from .groups import build_group, verify_embedding
@@ -176,74 +166,6 @@ def catalog_load(name: str) -> CatalogEntry:
         for n, w in row["generators"].items()])
     return CatalogEntry(name, spec, alphabet, gens, row["description"],
                         row["expected"])
-
-
-PLASTIC_EDGE = ("", "a", "b", "ab")
-PLASTIC_MIDDLE = ("b", "ab")
-
-
-def plastic_forms(nmax: int) -> list[str]:
-    """All valid forms of letter length <= nmax as letter strings, shortest
-    first, then by their maximal c-free segments."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    out = [u for u in PLASTIC_EDGE if len(u) <= nmax]
-    # bodies are open forms U c M1 c ... Mk still awaiting "c V"
-    partial = list(PLASTIC_EDGE)
-    while partial:
-        nxt = []
-        for body in partial:
-            for v in PLASTIC_EDGE:
-                if len(body) + 1 + len(v) <= nmax:
-                    out.append(body + "c" + v)
-            for m in PLASTIC_MIDDLE:
-                if len(body) + 2 + len(m) <= nmax:
-                    nxt.append(body + "c" + m)
-        partial = nxt
-    out.sort(key=lambda f: (len(f), f.split("c")))
-    return out
-
-
-class PlasticCounts(NamedTuple):
-    w: tuple[int, ...]       # all forms of each letter length
-    c: tuple[int, ...]       # forms ending in c
-
-
-def plastic_enumerate(nmax: int) -> PlasticCounts:
-    """Exact per-length counts by direct generation.
-
-    Checks the holding recurrences C(n) = C(n-2) + C(n-3) for n >= 4 and
-    W(n) = W(n-2) + W(n-3) for n >= 5, and that distinct forms evaluate to
-    distinct group elements; a failure raises AssertionError, also under -O.
-    """
-    forms = plastic_forms(nmax)
-    w = [0] * (nmax + 1)
-    c = [0] * (nmax + 1)
-    for f in forms:
-        w[len(f)] += 1
-        if f.endswith("c"):
-            c[len(f)] += 1
-    for n in range(4, nmax + 1):
-        if c[n] != c[n - 2] + c[n - 3]:
-            raise AssertionError(f"C-recurrence fails at {n}")
-    for n in range(5, nmax + 1):
-        if w[n] != w[n - 2] + w[n - 3]:
-            raise AssertionError(f"W-recurrence fails at {n}")
-    entry = catalog_load("pgl2z")
-    seen: dict[NormalForm, str] = {}
-    for f in forms:
-        g = plastic_eval(entry, f)
-        if g in seen:
-            raise AssertionError(f"forms {seen[g]!r} and {f!r} collide")
-        seen[g] = f
-    return PlasticCounts(tuple(w), tuple(c))
-
-
-def plastic_eval(entry: CatalogEntry, form: str) -> NormalForm:
-    acc = identity_nf(entry.spec)
-    for ch in form:
-        acc = multiply(entry.spec, acc, entry.alphabet[ch])
-    return acc
 
 
 def parse_word(entry: CatalogEntry, text: str) -> NormalForm:

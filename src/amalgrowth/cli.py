@@ -16,7 +16,7 @@ import resource
 import sys
 
 from . import __version__
-from .amalgam import UnknownGeneratorError, describe_nf
+from .amalgam import SIDE_A, AmalgamSpec, NormalForm, UnknownGeneratorError
 from .catalog import (
     UnknownEntryError,
     catalog_load,
@@ -86,6 +86,16 @@ def _radius(args, default: int | None) -> int | None:
     if args.radius < 0:
         raise CliError("--radius must be >= 0")
     return args.radius
+
+
+def describe_nf(spec: AmalgamSpec, x: NormalForm) -> str:
+    parts = []
+    for side, elem in x.syllables:
+        fac = spec.factor(side)
+        parts.append(("A:" if side == SIDE_A else "B:") + fac.labels[elem])
+    if x.head != spec.C.identity or not parts:
+        parts.append("C:" + spec.C.labels[x.head])
+    return ".".join(parts)
 
 
 def cmd_growth(args) -> int:
@@ -186,10 +196,12 @@ def cmd_certify(args) -> int:
     if args.mode == "monoid":
         if args.left or args.right:
             raise CliError("--left and --right need --mode split")
+        if radius is not None:
+            raise CliError("--radius needs --mode split")
         if len(args.elements or []) < 2:
             raise CliError("--mode monoid needs at least two --elements")
         elements = _parse_elements(entry, args.elements)
-        cert = certify_free_monoid(entry.spec, elements, radius=radius,
+        cert = certify_free_monoid(entry.spec, elements,
                                    diagnostics=diagnostics, stats=stats)
     else:
         if args.elements:
@@ -358,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", nargs="+", help="words (monoid mode)")
     p.add_argument("--left", nargs="+", help="words (split mode)")
     p.add_argument("--right", nargs="+", help="words (split mode)")
-    p.add_argument("--radius", type=int)
+    p.add_argument("--radius", type=int,
+                   help="search radius of the axes and fixed sets (split "
+                        "mode)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("fixedset", help="fixed vertices of an elliptic "

@@ -9,11 +9,10 @@ checks are all consumers of it; none of their outputs depends on an order
 inside a sphere.  It runs on one thread.
 
 Inside the engine an element is one int, its normal form packed one
-syllable per base-2^w digit with the head lowest (`amalgam.encode_flat`).
+syllable per base-2^w digit with the head lowest (`encode_flat`).
 Right multiplication by a letter of at most K syllables rewrites only the
-last K syllables and the head, the tail x & mask, so one
-`amalgam.StepTable`, filled on first use, maps a tail to its product with
-every letter.
+last K syllables and the head, the tail x & mask, so one `StepTable`, filled
+on first use, maps a tail to its product with every letter.
 
 A sphere is held as classes (state, tail, pend, np, pb) -> set of bases:
 the prefix x >> shift has L nonzero digits, np = L mod BLOCK, pend is its
@@ -63,8 +62,6 @@ from .amalgam import (
     AmalgamSpec,
     GenSet,
     NormalForm,
-    StepTable,
-    encode_flat,
     identity_nf,
     invert,
     is_identity,
@@ -82,6 +79,59 @@ MIN_FIT_TERMS = 10
 # prefix digits packed into an element's base at a time (module docstring)
 BLOCK = 4
 
+
+def encode_flat(spec: AmalgamSpec, x: NormalForm) -> int:
+    """The packed form of x, the BFS engine's element and set key: one int in
+    base 2^w (w = `spec.digit_bits`) with the head as the lowest digit and
+    each syllable above it as the digit 1 + side + 2 * rep, the last syllable
+    lowest.  Syllable digits are never 0, so the value alone fixes the
+    length."""
+    w = spec.digit_bits
+    v = 0
+    for side, rep in x.syllables:
+        v = v << w | 1 + side + 2 * rep
+    return v << w | x.head
+
+
+def decode_flat(spec: AmalgamSpec, v: int) -> NormalForm:
+    w = spec.digit_bits
+    m = (1 << w) - 1
+    head = v & m
+    syl = []
+    v >>= w
+    while v:
+        d = (v & m) - 1
+        syl.append((d & 1, d >> 1))
+        v >>= w
+    return NormalForm(tuple(reversed(syl)), head)
+
+
+class StepTable(dict):
+    """Right multiplication of packed forms by every letter of a list.
+
+    Each syllable of a letter merges with at most one trailing syllable of x,
+    so with K the syllable length of the longest letter only the tail
+    x & mask (the last K syllables and the head) changes: x * letter ==
+    (x >> shift) << s | t, shift = (K + 1) * w, where (t, s) is the packed
+    product of the tail and the letter and its bit width.  The table maps a
+    tail to those pairs in letter order and fills itself on first use.
+    """
+
+    def __init__(self, spec: AmalgamSpec, letters: list[NormalForm]):
+        super().__init__()
+        self.spec = spec
+        self.letters = letters
+        self.shift = (max((len(l.syllables) for l in letters), default=0)
+                      + 1) * spec.digit_bits
+        self.mask = (1 << self.shift) - 1
+
+    def __missing__(self, tail: int) -> tuple[tuple[int, int], ...]:
+        spec, w = self.spec, self.spec.digit_bits
+        x = decode_flat(spec, tail)
+        products = [multiply(spec, x, l) for l in self.letters]
+        row = self[tail] = tuple((encode_flat(spec, y), (len(y.syllables) + 1) * w)
+                                 for y in products)
+        return row
 
 class GrowthTable(NamedTuple):
     nmax: int
@@ -274,7 +324,7 @@ class _MinPlus(dict):
 
 class Sphere:
     """One sphere of `_levels`, unordered: its packed elements
-    (`amalgam.encode_flat`) as (tail, pend, np, pb) -> disjoint sets of
+    (`encode_flat`) as (tail, pend, np, pb) -> disjoint sets of
     bases, x == (base << np * w | pend) << shift | tail and pb ==
     psi.of(base).  `len`, `in` on packed ints and iteration; `products` and
     `packed` count the products formed and the prefix ints built to make

@@ -37,9 +37,6 @@ from .amalgam import (
     invert,
     is_identity,
     multiply,
-    nf_from_json,
-    nf_to_json,
-    syllables_from_json,
 )
 from .tree import (
     Classification,
@@ -92,6 +89,35 @@ def half_tree_subset(h1: HalfTree, h2: HalfTree) -> bool:
     """Exact: H1 is contained in H2 iff w1 lies in H2 and u2 does not lie in
     H1."""
     return h2.contains(h1.w) and not h1.contains(h2.u)
+
+
+def nf_to_json(x: NormalForm) -> dict:
+    return {"syllables": [list(s) for s in x.syllables], "head": x.head}
+
+
+def syllables_from_json(spec: AmalgamSpec, raw) -> tuple[tuple[int, int], ...]:
+    """An alternating syllable string of non-identity transversal reps, as
+    stored by `nf_to_json`; ValueError when `raw` is not one."""
+    out: list[tuple[int, int]] = []
+    for s in raw:
+        side, rep = s
+        if (type(side) is not int or type(rep) is not int
+                or side not in (SIDE_A, SIDE_B)
+                or rep == spec.factor(side).identity
+                or rep not in spec.transversal(side).reps
+                or (out and out[-1][0] == side)):
+            raise ValueError(f"not an alternating syllable string: {raw!r}")
+        out.append((side, rep))
+    return tuple(out)
+
+
+def nf_from_json(spec: AmalgamSpec, d: dict) -> NormalForm:
+    """The normal form stored by `nf_to_json`; ValueError when `d` is not a
+    normal form of this spec."""
+    head = d["head"]
+    if type(head) is not int or not 0 <= head < spec.C.order:
+        raise ValueError(f"head {head!r} is not an element of C")
+    return NormalForm(syllables_from_json(spec, d["syllables"]), head)
 
 
 def _vertex_from_json(spec: AmalgamSpec, d: dict) -> TreeVertex:

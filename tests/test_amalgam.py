@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 from amalgrowth.amalgam import (
     SIDE_A,
     SIDE_B,
-    StepTable,
     Word,
     cyclic_reduce,
-    decode_flat,
-    encode_flat,
     identity_nf,
     invert,
     is_identity,
+    make_amalgam,
     multiply,
-    nf_from_json,
-    nf_to_json,
     reduce_word,
 )
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
+from amalgrowth.growth import StepTable, decode_flat, encode_flat
+from amalgrowth.pingpong import nf_from_json, nf_to_json
 
 ENTRIES = [catalog_load("c2*c3"), catalog_load("pgl2z"), catalog_load("gl2z")]
 ALL_ENTRIES = [catalog_load(name) for name in catalog_names()]
@@ -172,13 +170,36 @@ def test_sides_are_distinct():
 
 
 @pytest.mark.parametrize("entry", ALL_ENTRIES, ids=catalog_names())
-def test_spec_hash_is_the_sha256_of_the_tables(entry):
-    # the formula `make_amalgam` stores, recomputed here as the oracle
+def test_spec_hash_is_the_sha256_of_the_tables(entry, monkeypatch):
+    # the formula `spec_hash` computes, recomputed here as the oracle
     spec = entry.spec
     payload = {"A": spec.A.mul, "B": spec.B.mul, "C": spec.C.mul,
                "embA": spec.embA.image, "embB": spec.embB.image}
     blob = json.dumps(payload, sort_keys=True, default=list).encode()
-    assert spec.spec_hash() == hashlib.sha256(blob).hexdigest()[:16]
+    want = hashlib.sha256(blob).hexdigest()[:16]
+    # two specs rebuilt from the same tables, neither hashed yet, equal the
+    # catalog's with the same repr, and stay so as each computes its hash
+    x, y = (make_amalgam(spec.A, spec.B, spec.C, spec.embA, spec.embB)
+            for _ in range(2))
+
+    def same():
+        assert x == spec == y and tuple(x) == tuple(spec)
+        assert repr(x) == repr(spec) == repr(y) and hash(x) == hash(spec)
+
+    same()
+    blobs = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data: blobs.append(data) or sha256(data))
+    assert [x.spec_hash() for _ in range(3)] == [want] * 3
+    assert blobs == [blob]
+    same()
+    assert spec.spec_hash() == want
+    same()
+    blobs.clear()
+    assert [y.spec_hash() for _ in range(2)] == [want] * 2
+    assert blobs == [blob]
+    same()
     assert (spec.digit_bits == max(2 * max(spec.A.order, spec.B.order),
                                    spec.C.order - 1).bit_length())
 

@@ -8,18 +8,17 @@ import pytest
 from test_growth import _child_env
 
 from amalgrowth import cli
-from amalgrowth.amalgam import is_identity, make_genset, multiply, nf_to_json
+from amalgrowth.amalgam import is_identity, make_genset, multiply
 from amalgrowth import catalog
 from amalgrowth.catalog import (
     UnknownEntryError,
     catalog_load,
     catalog_names,
     parse_word,
-    plastic_enumerate,
-    plastic_eval,
-    plastic_forms,
 )
 from amalgrowth.growth import enumerate_balls, shortest_word
+from amalgrowth.pingpong import nf_to_json
+from amalgrowth.verify import plastic_enumerate, plastic_eval, plastic_forms
 
 
 def _rewrite_letters(s: str) -> str:
@@ -224,11 +223,11 @@ def test_plastic_enumerate_checks_survive_optimisation():
     # with every form evaluating to one element, the uniqueness check must
     # raise under python -O too, which strips assert statements
     code = textwrap.dedent("""
-        from amalgrowth import catalog
-        catalog.plastic_eval = lambda entry, form: catalog.identity_nf(
+        from amalgrowth import verify
+        verify.plastic_eval = lambda entry, form: verify.identity_nf(
             entry.spec)
         try:
-            catalog.plastic_enumerate(3)
+            verify.plastic_enumerate(3)
         except AssertionError as exc:
             print(exc)
     """)

@@ -38,28 +38,42 @@ def test_every_public_name_resolves():
 
 
 def test_cold_start_loads_only_the_layers_a_call_uses():
+    # hashlib and json are looked up before the script imports json itself
     code = textwrap.dedent("""
-        import contextlib, io, json, sys
+        import contextlib, io, sys
         def layers():
             return sorted(m.split(".")[1] for m in sys.modules
                           if m.startswith("amalgrowth."))
+        def stdlib():
+            return sorted({"hashlib", "json"} & set(sys.modules))
         import amalgrowth
+        after_import = layers()
         for name in amalgrowth.catalog_names():
             amalgrowth.catalog_load(name)
         after_load = layers()
+        entry = amalgrowth.catalog_load("c2*c3")
+        amalgrowth.enumerate_balls(entry.spec, entry.default_genset, 4)
+        after_balls = stdlib()
+        entry.spec.spec_hash()
+        after_hash = stdlib()
         from amalgrowth import cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["root", "--lengths", "2", "3"]) == 0
-        print(json.dumps([after_load, layers()]))
+        import json
+        print(json.dumps([after_import, after_load, layers(), after_balls,
+                          after_hash]))
     """)
     proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    after_load, after_root = map(set, json.loads(proc.stdout))
-    assert "catalog" in after_load
-    assert not {"growth", "spectral", "tree", "pingpong", "verify", "cli"} & after_load
+    after_import, after_load, after_root, after_balls, after_hash = map(
+        set, json.loads(proc.stdout))
+    assert after_import == after_load == {"amalgam", "groups", "catalog"}
     assert "spectral" in after_root
     assert not {"pingpong", "tree", "verify"} & after_root
+    # loading the catalog and counting balls hash nothing
+    assert after_balls == set()
+    assert "hashlib" in after_hash
 
 
 def test_no_layer_imports_dataclasses():
@@ -391,6 +405,8 @@ def test_root_lengths_and_poly(capsys):
      "--left", "a"],
     ["certify", "pgl2z", "--mode", "split", "--left", "a", "--right", "c",
      "--elements", "a b"],
+    ["certify", "pgl2z", "--mode", "monoid", "--elements", "b c", "a b c",
+     "--radius", "3"],
     # incomplete certify command lines: not a failed search
     ["certify", "pgl2z", "--mode", "monoid"],
     ["certify", "pgl2z", "--mode", "monoid", "--elements", "b c"],

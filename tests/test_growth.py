@@ -17,8 +17,6 @@ from amalgrowth import cli, growth, verify
 from amalgrowth.amalgam import (
     SIDE_A,
     SIDE_B,
-    StepTable,
-    encode_flat,
     factor_nf,
     identity_nf,
     invert,
@@ -30,12 +28,14 @@ from amalgrowth.growth import (
     BLOCK,
     DEFAULT_BUDGET,
     GenSetError,
+    StepTable,
     _levels,
     _MinPlus,
     _named_letters,
     _Psi,
     _shortlex_moves,
     _weights,
+    encode_flat,
     enumerate_balls,
     growth_table_csv,
     make_genset,

@@ -15,8 +15,6 @@ from amalgrowth.amalgam import (
     invert,
     is_identity,
     multiply,
-    nf_from_json,
-    nf_to_json,
 )
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.pingpong import (
@@ -29,6 +27,8 @@ from amalgrowth.pingpong import (
     half_tree_subset,
     half_trees_disjoint,
     image_half_tree,
+    nf_from_json,
+    nf_to_json,
     replay,
 )
 from amalgrowth.tree import (

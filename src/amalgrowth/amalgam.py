@@ -7,7 +7,8 @@ the head c lies in C (appended on the right).  Free products are the special
 case of trivial C.  Uniqueness of this form makes equality testing, and
 therefore exact ball enumeration, a tuple comparison.  `multiply` is the
 reference arithmetic; the ball enumerator works on a packed int form of its
-own (`growth.encode_flat`).
+own (`growth.encode_flat`).  `multiply`, `invert` and `factor_nf` share one
+step, `_append_factor`, which reads only the spec's per-factor side table.
 """
 from __future__ import annotations
 
@@ -36,6 +37,8 @@ class AmalgamSpec(NamedTuple):
     # bits per digit of the packed form (`growth.encode_flat`): enough for a
     # syllable digit 1 + side + 2 * rep and for a head in C
     digit_bits: int
+    # by side: (factor's mul, image of C, factorization, factor's identity)
+    sides: tuple[tuple, tuple]
 
     @property
     def branching(self) -> bool:
@@ -69,11 +72,12 @@ class AmalgamSpec(NamedTuple):
 
 def make_amalgam(A: FiniteGroup, B: FiniteGroup, C: FiniteGroup,
                  embA: Embedding, embB: Embedding) -> AmalgamSpec:
+    transA, transB = coset_transversal(A, embA), coset_transversal(B, embB)
     return AmalgamSpec(
-        A=A, B=B, C=C, embA=embA, embB=embB,
-        transA=coset_transversal(A, embA),
-        transB=coset_transversal(B, embB),
+        A=A, B=B, C=C, embA=embA, embB=embB, transA=transA, transB=transB,
         digit_bits=max(2 * max(A.order, B.order), C.order - 1).bit_length(),
+        sides=((A.mul, embA.image, transA.factorization, A.identity),
+               (B.mul, embB.image, transB.factorization, B.identity)),
     )
 
 
@@ -94,21 +98,22 @@ def is_identity(spec: AmalgamSpec, x: NormalForm) -> bool:
     return not x.syllables and x.head == spec.C.identity
 
 
-def _append_factor(spec: AmalgamSpec, syllables: list, head: int,
+def _append_factor(table: tuple, syllables: list, head: int,
                    side: int, elem: int) -> int:
-    """Right-multiply the partial form `syllables * head` by a single factor
-    element, mutating `syllables`; returns the new head.
+    """Right-multiply the partial form `syllables * head` by an element of
+    the factor with side table `table`, mutating `syllables`; returns the
+    new head.
 
     The head is pushed through the embedding into the factor, merged with a
     same-side trailing syllable if present, and the product re-factored as
     rep * c via the transversal.
     """
-    fac = spec.factor(side)
-    p = fac.mul[spec.image(side)[head]][elem]
+    mul, image, factorization, identity = table
+    p = mul[image[head]][elem]
     if syllables and syllables[-1][0] == side:
-        p = fac.mul[syllables.pop()[1]][p]
-    rep, c = spec.transversal(side).factorization[p]
-    if rep != fac.identity:
+        p = mul[syllables.pop()[1]][p]
+    rep, c = factorization[p]
+    if rep != identity:
         syllables.append((side, rep))
     return c
 
@@ -116,15 +121,16 @@ def _append_factor(spec: AmalgamSpec, syllables: list, head: int,
 def factor_nf(spec: AmalgamSpec, side: int, elem: int) -> NormalForm:
     """Normal form of a single factor element."""
     syl: list = []
-    head = _append_factor(spec, syl, spec.C.identity, side, elem)
+    head = _append_factor(spec.sides[side], syl, spec.C.identity, side, elem)
     return NormalForm(tuple(syl), head)
 
 
 def multiply(spec: AmalgamSpec, x: NormalForm, y: NormalForm) -> NormalForm:
+    sides = spec.sides
     syl = list(x.syllables)
     head = x.head
     for side, elem in y.syllables:
-        head = _append_factor(spec, syl, head, side, elem)
+        head = _append_factor(sides[side], syl, head, side, elem)
     head = spec.C.mul[head][y.head]
     return NormalForm(tuple(syl), head)
 
@@ -133,7 +139,8 @@ def invert(spec: AmalgamSpec, x: NormalForm) -> NormalForm:
     syl: list = []
     head = spec.C.inv[x.head]
     for side, elem in reversed(x.syllables):
-        head = _append_factor(spec, syl, head, side, spec.factor(side).inv[elem])
+        inv = spec.factor(side).inv
+        head = _append_factor(spec.sides[side], syl, head, side, inv[elem])
     return NormalForm(tuple(syl), head)
 
 

@@ -42,7 +42,6 @@ from .tree import (
     Classification,
     TreeVertex,
     _at_or_above,
-    _parent,
     act,
     axis_segment,
     classify,
@@ -69,9 +68,10 @@ class HalfTree(NamedTuple):
     w: TreeVertex
 
     def contains(self, v: TreeVertex) -> bool:
-        if _parent(self.u) == self.w:
-            return not _at_or_above(self.u, v)
-        return _at_or_above(self.w, v)
+        u, w = self.u, self.w
+        if u.key and u.key[-1][0] == w.side and u.key[:-1] == w.key:
+            return not _at_or_above(u, v)
+        return _at_or_above(w, v)
 
 
 def image_half_tree(spec: AmalgamSpec, g: NormalForm, h: HalfTree) -> HalfTree:

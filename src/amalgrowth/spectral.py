@@ -149,10 +149,10 @@ def _refine(chain: list[list[int]], bound: Fraction, width: Fraction,
     For 0 <= x < y <= bound, the integer chain's sign variations (zeros
     skipped) at x minus those at y must count chain[0]'s distinct roots in
     (x, y].  [0, bound] is halved, keeping the rightmost root, until it
-    holds one root, is at most width wide and, when the polynomial has a
-    root at 0 (`root_at_0`), starts right of it; the ends are numerators
-    over bound.denominator * 2^halvings, so every sign is an integer
-    evaluation."""
+    holds one root, is at most width wide and does not start at a root,
+    which the count leaves out (at 0 when `root_at_0`, later when chain[0]
+    vanishes there); the ends are numerators over bound.denominator *
+    2^halvings, so every sign is an integer evaluation."""
     a, b, den = 0, bound.numerator, bound.denominator
     va, vb = (descartes_sign_changes([_eval_over(q, x, den) for q in chain])
               for x in (a, b))
@@ -160,10 +160,10 @@ def _refine(chain: list[list[int]], bound: Fraction, width: Fraction,
     if total == 0:
         return None
     steps = 0
-    # more than one root inside, (b - a) / den > width, or the root at 0
-    # inside
+    a_is_root = root_at_0
+    # more than one root inside, (b - a) / den > width, or a root at a
     while (va - vb > 1 or (b - a) * width.denominator > width.numerator * den
-           or a == 0 and root_at_0):
+           or a_is_root):
         steps += 1
         a, b, den = 2 * a, 2 * b, 2 * den
         mid = (a + b) // 2
@@ -173,7 +173,7 @@ def _refine(chain: list[list[int]], bound: Fraction, width: Fraction,
             a = b = mid
             break
         if vm > vb:
-            a, va = mid, vm
+            a, va, a_is_root = mid, vm, values[0] == 0
         else:
             b, vb = mid, vm
     return RootEnclosure(Fraction(a, den), Fraction(b, den),

@@ -48,21 +48,12 @@ BASE_A = base_vertex(SIDE_A)
 BASE_B = base_vertex(SIDE_B)
 
 
-def vertex_of(spec: AmalgamSpec, g: NormalForm, side: int) -> TreeVertex:
-    """Canonical vertex of the coset g*(A or B)."""
-    syl = g.syllables
-    if syl and syl[-1][0] == side:
-        syl = syl[:-1]
-    return TreeVertex(side, syl)
-
-
-def _rep(spec: AmalgamSpec, v: TreeVertex) -> NormalForm:
-    """A coset representative of v with trivial head."""
-    return NormalForm(v.key, spec.C.identity)
-
-
 def act(spec: AmalgamSpec, g: NormalForm, v: TreeVertex) -> TreeVertex:
-    return vertex_of(spec, multiply(spec, g, _rep(spec, v)), v.side)
+    """g.v: the form g * v.key, a last syllable on v's side stripped."""
+    syl = multiply(spec, g, NormalForm(v.key, spec.C.identity)).syllables
+    if syl and syl[-1][0] == v.side:
+        syl = syl[:-1]
+    return TreeVertex(v.side, syl)
 
 
 def neighbors(spec: AmalgamSpec, v: TreeVertex) -> list[TreeVertex]:
@@ -100,9 +91,11 @@ def _parent(v: TreeVertex) -> TreeVertex | None:
 
 
 def _at_or_above(x: TreeVertex, v: TreeVertex) -> bool:
-    """Whether x is v or an ancestor of v: the vertex on v's chain at x's
-    depth."""
-    return len(x.key) <= len(v.key) and _ancestor(v, len(x.key)) == x
+    """Whether x is v or an ancestor of v: `_ancestor(v, len(x.key)) == x`,
+    tested on that vertex's side and key prefix without building it."""
+    n, key = len(x.key), v.key
+    return (n <= len(key) and (key[n][0] if n < len(key) else v.side) == x.side
+            and key[:n] == x.key)
 
 
 def tree_distance(u: TreeVertex, v: TreeVertex) -> int:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from amalgrowth.amalgam import (
     SIDE_A,
     SIDE_B,
+    NormalForm,
     Word,
     cyclic_reduce,
+    factor_nf,
     identity_nf,
     invert,
     is_identity,
@@ -79,6 +81,65 @@ def test_json_round_trip(data):
     entry, u, _ = data
     g = _nf(entry, u)
     assert nf_from_json(entry.spec, nf_to_json(g)) == g
+
+
+def _ref_append(spec, syllables, head, side, elem):
+    # the per-syllable right multiplication through the spec's `factor`,
+    # `image` and `transversal` methods: the reference for the side table
+    fac = spec.factor(side)
+    p = fac.mul[spec.image(side)[head]][elem]
+    if syllables and syllables[-1][0] == side:
+        p = fac.mul[syllables.pop()[1]][p]
+    rep, c = spec.transversal(side).factorization[p]
+    if rep != fac.identity:
+        syllables.append((side, rep))
+    return c
+
+
+def _ref_multiply(spec, x, y):
+    syl, head = list(x.syllables), x.head
+    for side, elem in y.syllables:
+        head = _ref_append(spec, syl, head, side, elem)
+    return NormalForm(tuple(syl), spec.C.mul[head][y.head])
+
+
+def _ref_invert(spec, x):
+    syl, head = [], spec.C.inv[x.head]
+    for side, elem in reversed(x.syllables):
+        head = _ref_append(spec, syl, head, side, spec.factor(side).inv[elem])
+    return NormalForm(tuple(syl), head)
+
+
+def _ref_factor_nf(spec, side, elem):
+    syl = []
+    head = _ref_append(spec, syl, spec.C.identity, side, elem)
+    return NormalForm(tuple(syl), head)
+
+
+@st.composite
+def _random_nf(draw, spec):
+    # drawn syllable by syllable, so no kernel call builds the input
+    side = draw(st.sampled_from((SIDE_A, SIDE_B)))
+    syl = []
+    for _ in range(draw(st.integers(0, 10))):
+        syl.append((side, draw(st.sampled_from(
+            spec.transversal(side).reps[1:]))))
+        side = 1 - side
+    return NormalForm(tuple(syl), draw(st.integers(0, spec.C.order - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_ENTRIES).flatmap(lambda e: st.tuples(
+    st.just(e), _random_nf(e.spec), _random_nf(e.spec),
+    st.sampled_from((SIDE_A, SIDE_B)), st.integers(0, 11))))
+def test_kernel_matches_the_per_syllable_reference(data):
+    entry, x, y, side, elem = data
+    spec = entry.spec
+    elem %= spec.factor(side).order
+    _assert_valid_nf(spec, x)
+    assert multiply(spec, x, y) == _ref_multiply(spec, x, y)
+    assert invert(spec, x) == _ref_invert(spec, x)
+    assert factor_nf(spec, side, elem) == _ref_factor_nf(spec, side, elem)
 
 
 def _malformed_forms(spec):

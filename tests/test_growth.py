@@ -63,6 +63,49 @@ def test_infinite_dihedral_spheres_are_constant():
     assert not table.truncated
 
 
+def _up_to_sign(m):
+    # 2x2 integer matrices as (p, q, r, s) = [[p, q], [r, s]]; the larger of
+    # m and -m stands for the class of m in PGL(2, Z)
+    return max(m, tuple(-t for t in m))
+
+
+def _mat_mul(x, y):
+    p, q, r, s = x
+    e, f, g, h = y
+    return _up_to_sign(
+        (p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h))
+
+
+def test_pgl2z_spheres_match_the_matrix_group():
+    # PGL(2, Z) as integer matrices modulo sign, sharing no code with the
+    # normal forms: the relations of (C2 x C2) *_C2 D6, then the spheres of
+    # {a, b, c} by a BFS over matrices against `enumerate_balls`
+    one = (1, 0, 0, 1)
+    a, b, c = (_up_to_sign(m) for m in ((0, 1, 1, 0), (-1, 0, 0, 1),
+                                         (-1, 1, 0, 1)))
+
+    def power(x, n):
+        acc = one
+        for _ in range(n):
+            acc = _mat_mul(acc, x)
+        return acc
+
+    for g, n in ((a, 2), (b, 2), (c, 2), (_mat_mul(a, b), 2),
+                 (_mat_mul(a, c), 3)):
+        assert power(g, n) == one
+    assert _mat_mul(a, c) != one and power(_mat_mul(a, c), 2) != one
+    seen, frontier, spheres = {one}, [one], [1]
+    for _ in range(20):
+        frontier = list({y for x in frontier for g in (a, b, c)
+                         if (y := _mat_mul(x, g)) not in seen})
+        seen.update(frontier)
+        spheres.append(len(frontier))
+    entry = catalog_load("pgl2z")
+    table = enumerate_balls(entry.spec, entry.default_genset, 20)
+    assert list(table.sphere) == spheres
+    assert spheres[:6] == [1, 3, 5, 7, 9, 12] and spheres[-2:] == [616, 816]
+
+
 def test_sphere_stream_matches_enumerate_balls():
     entry = catalog_load("pgl2z")
     for budget in (DEFAULT_BUDGET, 500):

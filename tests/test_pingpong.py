@@ -35,6 +35,8 @@ from amalgrowth.tree import (
     BASE_A,
     BASE_B,
     TreeVertex,
+    _at_or_above,
+    _parent,
     act,
     ball,
     classify,
@@ -80,6 +82,22 @@ def test_half_tree_contains_matches_tree_distances(name):
         h = HalfTree(u, w)
         assert [v for v in verts if h.contains(v)] \
             == [v for v in verts if dist[w][v] < dist[u][v]], (u, w)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_half_tree_contains_matches_the_parent_form(name):
+    # `contains` against its form through `_parent`, on every ordered pair
+    # of ball vertices, adjacent or not (`_at_or_above` has its own test)
+    spec = catalog_load(name).spec
+    verts = ball(spec, BASE_A, 3) + ball(spec, BASE_B, 3)
+    for u in verts:
+        for w in verts:
+            h = HalfTree(u, w)
+            if _parent(u) == w:
+                want = [not _at_or_above(u, v) for v in verts]
+            else:
+                want = [_at_or_above(w, v) for v in verts]
+            assert [h.contains(v) for v in verts] == want, (u, w)
 
 
 def test_image_half_tree_is_equivariant():

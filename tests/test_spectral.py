@@ -138,6 +138,10 @@ scales = st.one_of(st.fractions(Fraction(1, 4), 5, max_denominator=4),
 # z (z - 1/4)^2 / 4 at width 1/3: [0, 5/16] held the root at 0 as well
 @example(roots=[(Fraction(0), 1), (Fraction(1, 4), 2)], quadratic=None,
          zeros=0, scale=Fraction(1, 4), width=Fraction(1, 3))
+# (z - 2)(z - 9/5) / 4 at width 1/3: [9/5, 21/10] held the smaller root at
+# its left end, where the sign variations do not count it
+@example(roots=[(Fraction(2), 1), (Fraction(9, 5), 1)], quadratic=None,
+         zeros=0, scale=Fraction(1, 4), width=Fraction(1, 3))
 def test_sturm_path_encloses_the_largest_known_root(roots, quadratic, zeros,
                                                     scale, width):
     p = _known_roots_poly(scale, zeros, roots, quadratic)

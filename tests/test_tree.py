@@ -20,6 +20,8 @@ from amalgrowth.tree import (
     BASE_B,
     TreeVertex,
     VerdictError,
+    _ancestor,
+    _at_or_above,
     act,
     axis_segment,
     ball,
@@ -106,6 +108,55 @@ def test_neighbors_degree():
         nbrs = neighbors(entry.spec, v)
         assert len(nbrs) == len(set(nbrs)) == expect
         assert all(tree_distance(v, w) == 1 for w in nbrs)
+
+
+def _canonical_vertex(g: NormalForm, side: int) -> TreeVertex:
+    """The vertex of the coset g*(A or B): g's syllables with a last one on
+    that side dropped."""
+    syl = g.syllables
+    if syl and syl[-1][0] == side:
+        syl = syl[:-1]
+    return TreeVertex(side, syl)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_act_is_the_canonical_vertex_of_the_product(name):
+    entry = catalog_load(name)
+    spec = entry.spec
+    verts = ball(spec, BASE_A, 4) + ball(spec, BASE_B, 4)
+    for g in _random_words(entry, 20, 6, seed=11):
+        for v in verts:
+            rep = NormalForm(v.key, spec.C.identity)
+            assert act(spec, g, v) == _canonical_vertex(
+                multiply(spec, g, rep), v.side), (name, g, v)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_at_or_above_is_the_ancestor_at_that_depth(name):
+    spec = catalog_load(name).spec
+    verts = ball(spec, BASE_A, 4) + ball(spec, BASE_B, 4)
+    for x in verts:
+        for v in verts:
+            assert _at_or_above(x, v) == (
+                len(x.key) <= len(v.key) and _ancestor(v, len(x.key)) == x)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_tree_distance_has_a_closed_form(name):
+    # m common syllables, then one more step across the base-edge side at
+    # depth m when the two chains leave it on different sides; only this
+    # test carries the formula
+    spec = catalog_load(name).spec
+    verts = ball(spec, BASE_A, 6)
+    for u in verts:
+        for v in verts:
+            m = 0
+            while m < min(len(u.key), len(v.key)) and u.key[m] == v.key[m]:
+                m += 1
+            side_u = u.key[m][0] if m < len(u.key) else u.side
+            side_v = v.key[m][0] if m < len(v.key) else v.side
+            assert tree_distance(u, v) == (len(u.key) + len(v.key) - 2 * m
+                                           + (side_u != side_v)), (u, v)
 
 
 def test_action_is_isometric():

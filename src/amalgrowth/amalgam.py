@@ -8,7 +8,8 @@ case of trivial C.  Uniqueness of this form makes equality testing, and
 therefore exact ball enumeration, a tuple comparison.  `multiply` is the
 reference arithmetic; the ball enumerator works on a packed int form of its
 own (`growth.encode_flat`).  `multiply`, `invert` and `factor_nf` share one
-step, `_append_factor`, which reads only the spec's per-factor side table.
+step, `_append_factor`, which reads only the spec's per-factor side table;
+`multiply` runs it only up to the junction of its two operands.
 """
 from __future__ import annotations
 
@@ -126,13 +127,25 @@ def factor_nf(spec: AmalgamSpec, side: int, elem: int) -> NormalForm:
 
 
 def multiply(spec: AmalgamSpec, x: NormalForm, y: NormalForm) -> NormalForm:
+    """x y.  y's syllables are appended one by one only up to the junction:
+    once the carried head is C's identity and y's next syllable is on the
+    other side from the last syllable so far, the rest of y is copied in one
+    slice.  That is right because y is a normal form (alternating
+    non-identity transversal reps), which callers must ensure."""
     sides = spec.sides
+    C = spec.C
+    one = C.identity
     syl = list(x.syllables)
     head = x.head
-    for side, elem in y.syllables:
+    ys = y.syllables
+    i = 0
+    for side, elem in ys:
+        if head == one and not (syl and syl[-1][0] == side):
+            syl += ys[i:]
+            break
         head = _append_factor(sides[side], syl, head, side, elem)
-    head = spec.C.mul[head][y.head]
-    return NormalForm(tuple(syl), head)
+        i += 1
+    return NormalForm(tuple(syl), C.mul[head][y.head])
 
 
 def invert(spec: AmalgamSpec, x: NormalForm) -> NormalForm:

@@ -523,13 +523,18 @@ def _split_hyperbolic_hyperbolic(
         radius: int, diagnostics: list[str] | None,
         ) -> PingPongCertificate | None:
     """Free-product split of two hyperbolic cyclic groups with separated
-    axes: four half-trees, one per axis end."""
+    axes: four half-trees, one per axis end.
+
+    y's axis segment is exactly the vertices v of its ball with
+    d(v, y.v) = tau, so a vertex of x's segment passing that test is a
+    common vertex: crossing axes are settled from x's segment alone."""
     ax = axis_segment(spec, x, radius)
-    ay = axis_segment(spec, y, radius)
-    d, qx, qy = nearest_pair(ax, ay)
-    if d == 0:
+    cy = classify(spec, y)
+    if any(tree_distance(v, cy.witness) <= radius
+           and displacement(spec, y, v) == cy.tau for v in ax):
         _diag(diagnostics, "axes intersect within radius")
         return None
+    _, qx, qy = nearest_pair(ax, axis_segment(spec, y, radius))
     ends = [geodesic(q, act(spec, g, q))[1]
             for q, g in ((qx, x), (qx, invert(spec, x)),
                          (qy, y), (qy, invert(spec, y)))]

@@ -22,6 +22,7 @@ from amalgrowth.amalgam import (
 from amalgrowth.catalog import catalog_load, catalog_names, parse_word
 from amalgrowth.growth import StepTable, decode_flat, encode_flat
 from amalgrowth.pingpong import nf_from_json, nf_to_json
+from amalgrowth.tree import BASE_A, TreeVertex, act, ball
 
 ENTRIES = [catalog_load("c2*c3"), catalog_load("pgl2z"), catalog_load("gl2z")]
 ALL_ENTRIES = [catalog_load(name) for name in catalog_names()]
@@ -117,11 +118,12 @@ def _ref_factor_nf(spec, side, elem):
 
 
 @st.composite
-def _random_nf(draw, spec):
+def _random_nf(draw, spec, side=None, min_syllables=0):
     # drawn syllable by syllable, so no kernel call builds the input
-    side = draw(st.sampled_from((SIDE_A, SIDE_B)))
+    if side is None:
+        side = draw(st.sampled_from((SIDE_A, SIDE_B)))
     syl = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(min_syllables, 10))):
         syl.append((side, draw(st.sampled_from(
             spec.transversal(side).reps[1:]))))
         side = 1 - side
@@ -140,6 +142,86 @@ def test_kernel_matches_the_per_syllable_reference(data):
     assert multiply(spec, x, y) == _ref_multiply(spec, x, y)
     assert invert(spec, x) == _ref_invert(spec, x)
     assert factor_nf(spec, side, elem) == _ref_factor_nf(spec, side, elem)
+
+
+@st.composite
+def _merging_pair(draw, entry):
+    # y starts on the side x ends on, so the two syllables at the junction
+    # merge before the rest of y can be copied
+    x = draw(_random_nf(entry.spec, min_syllables=1))
+    y = draw(_random_nf(entry.spec, side=x.syllables[-1][0], min_syllables=1))
+    return entry, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_ENTRIES).flatmap(_merging_pair))
+def test_multiply_matches_the_reference_when_the_junction_merges(data):
+    entry, x, y = data
+    spec = entry.spec
+    assert multiply(spec, x, y) == _ref_multiply(spec, x, y)
+    # x x^-1 cancels syllable by syllable up to the identity
+    xi = _ref_invert(spec, x)
+    assert multiply(spec, x, xi) == _ref_multiply(spec, x, xi)
+    assert is_identity(spec, multiply(spec, x, xi))
+
+
+@st.composite
+def _head_carrying_pair(draw, entry):
+    # x's head is not C's identity, and each syllable of y is drawn among the
+    # reps after which the reference's head stays off the identity, so the
+    # head is carried through every syllable of y
+    spec = entry.spec
+    one = spec.C.identity
+    x = draw(_random_nf(entry.spec).filter(lambda x: x.head != one))
+    syl, head = list(x.syllables), x.head
+    side = draw(st.sampled_from((SIDE_A, SIDE_B)))
+    ys = []
+    for _ in range(draw(st.integers(1, 10))):
+        keep = []
+        for rep in spec.transversal(side).reps[1:]:
+            trial = list(syl)
+            if _ref_append(spec, trial, head, side, rep) != one:
+                keep.append(rep)
+        if not keep:
+            break
+        rep = draw(st.sampled_from(keep))
+        head = _ref_append(spec, syl, head, side, rep)
+        ys.append((side, rep))
+        side = 1 - side
+    return entry, x, NormalForm(tuple(ys), draw(st.integers(0, spec.C.order - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([catalog_load("pgl2z"), catalog_load("gl2z")])
+       .flatmap(_head_carrying_pair).filter(lambda data: data[2].syllables))
+def test_multiply_matches_the_reference_with_a_carried_head(data):
+    entry, x, y = data
+    spec = entry.spec
+    syl, head = list(x.syllables), x.head
+    for side, elem in y.syllables:
+        assert head != spec.C.identity
+        head = _ref_append(spec, syl, head, side, elem)
+    assert multiply(spec, x, y) == _ref_multiply(spec, x, y)
+
+
+def _ref_act(spec, g, v):
+    # `tree.act` on the per-syllable reference product
+    syl = _ref_multiply(spec, g, NormalForm(v.key, spec.C.identity)).syllables
+    if syl and syl[-1][0] == v.side:
+        syl = syl[:-1]
+    return TreeVertex(v.side, syl)
+
+
+@pytest.mark.parametrize("entry", ALL_ENTRIES, ids=catalog_names())
+def test_act_matches_the_reference_on_a_ball(entry):
+    # every vertex of the radius-4 ball, acted on by each vertex's key with
+    # every head in C
+    spec = entry.spec
+    verts = ball(spec, BASE_A, 4)
+    elements = [NormalForm(v.key, c) for v in verts for c in range(spec.C.order)]
+    for g in elements:
+        for v in verts:
+            assert act(spec, g, v) == _ref_act(spec, g, v)
 
 
 def _malformed_forms(spec):

@@ -6,11 +6,12 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amalgrowth import pingpong
 from amalgrowth.amalgam import (
+    NormalForm,
     identity_nf,
     invert,
     is_identity,
@@ -38,9 +39,12 @@ from amalgrowth.tree import (
     _at_or_above,
     _parent,
     act,
+    axis_segment,
     ball,
     classify,
     displacement,
+    geodesic,
+    nearest_pair,
     neighbors,
     tree_distance,
     vertex_json,
@@ -733,6 +737,113 @@ def test_split_certificate_hyperbolic_hyperbolic():
     assert cert is not None
     assert cert.kind == "free-product-split"
     assert replay(entry.spec, cert)
+
+
+def _two_axes_split(spec, x, y, radius, diagnostics):
+    """The hyperbolic/hyperbolic split from both axis segments and their
+    nearest pair: the oracle for the exit that reads x's segment alone."""
+    ax = axis_segment(spec, x, radius)
+    ay = axis_segment(spec, y, radius)
+    d, qx, qy = nearest_pair(ax, ay)
+    if d == 0:
+        diagnostics.append("axes intersect within radius")
+        return None
+    ends = [geodesic(q, act(spec, g, q))[1]
+            for q, g in ((qx, x), (qx, invert(spec, x)),
+                         (qy, y), (qy, invert(spec, y)))]
+    return pingpong._certificate(
+        spec, "free-product-split", pingpong._split_elements([x], [y]),
+        [(label, HalfTree(q, end)) for label, q, end
+         in zip(("X+", "X-", "Y+", "Y-"), (qx, qx, qy, qy), ends)],
+        {}, diagnostics)
+
+
+def _assert_split_matches_two_axes(spec, x, y, radius):
+    for a, b in ((x, y), (y, x)):
+        got_diags, want_diags = [], []
+        got = certify_free_split(spec, [a], [b], radius=radius,
+                                 diagnostics=got_diags)
+        want = _two_axes_split(spec, a, b, radius, want_diags)
+        assert (got and got.to_json(), got_diags) == (
+            want and want.to_json(), want_diags)
+
+
+def _count_axes(monkeypatch):
+    calls = []
+    real = pingpong.axis_segment
+    monkeypatch.setattr(pingpong, "axis_segment", lambda spec, g, radius:
+                        calls.append(g) or real(spec, g, radius))
+    return calls
+
+
+CROSSING_C2C5 = [words for name, words, sha, _, _ in SPLIT_SEARCHES
+                 if name == "c2*c5" and sha is None]
+
+
+@pytest.mark.parametrize("words", CROSSING_C2C5)
+def test_crossing_axes_are_settled_from_one_axis(words, monkeypatch):
+    entry = catalog_load("c2*c5")
+    x, y = _elements(entry, *words)
+    assert classify(entry.spec, x).hyperbolic and classify(entry.spec, y).hyperbolic
+    calls = _count_axes(monkeypatch)
+    diags = []
+    assert certify_free_split(entry.spec, [x], [y], diagnostics=diags) is None
+    assert diags == ["axes intersect within radius"]
+    assert calls == [x]
+
+
+def test_separated_axes_read_both_axes(monkeypatch):
+    entry, x, y = _hyperbolic_pair()
+    calls = _count_axes(monkeypatch)
+    assert certify_free_split(entry.spec, [x], [y], radius=6) is not None
+    assert calls == [x, y]
+
+
+def test_axes_meeting_outside_the_ball_are_not_settled_early():
+    # y = a b has its witness at the base; x is a conjugate of a b b by
+    # (a b)^3, so the two axes meet only 5-7 steps from y's witness, beyond
+    # the radius
+    entry = catalog_load("c2*c5")
+    spec = entry.spec
+    y = parse_word(entry, "a b")
+    h = parse_word(entry, "a b a b a b")
+    x = multiply(spec, multiply(spec, h, parse_word(entry, "a b b")),
+                 invert(spec, h))
+    radius = 4
+    cy = classify(spec, y)
+    ax = axis_segment(spec, x, radius)
+    meet = [v for v in ax if displacement(spec, y, v) == cy.tau]
+    assert meet and all(tree_distance(v, cy.witness) > radius for v in meet)
+    diags = []
+    assert _two_axes_split(spec, x, y, radius, diags) is None
+    assert diags and diags != ["axes intersect within radius"]
+    _assert_split_matches_two_axes(spec, x, y, radius)
+
+
+@st.composite
+def _hyperbolic_pairs(draw):
+    # two random forms, the second conjugated by a third to move its axis
+    entry = catalog_load(draw(st.sampled_from(catalog_names())))
+    spec = entry.spec
+
+    def form(lo, hi):
+        side, syl = draw(st.sampled_from((0, 1))), []
+        for _ in range(draw(st.integers(lo, hi))):
+            syl.append((side, draw(st.sampled_from(
+                spec.transversal(side).reps[1:]))))
+            side = 1 - side
+        return NormalForm(tuple(syl), draw(st.integers(0, spec.C.order - 1)))
+
+    x, y, h = form(2, 6), form(2, 6), form(0, 4)
+    y = multiply(spec, multiply(spec, h, y), invert(spec, h))
+    assume(classify(spec, x).hyperbolic and classify(spec, y).hyperbolic)
+    return spec, x, y, draw(st.integers(4, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hyperbolic_pairs())
+def test_split_of_hyperbolic_pairs_matches_the_two_axes_path(data):
+    _assert_split_matches_two_axes(*data)
 
 
 def test_split_certificate_elliptic_hyperbolic_without_power_search():

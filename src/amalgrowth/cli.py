@@ -238,11 +238,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fixedset(args) -> int:
-    from .tree import VerdictError, fixed_set, vertex_json
+    from .tree import VerdictError, default_radius, fixed_set, vertex_json
 
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = _radius(args, 2 * len(g.syllables) + 4)
+    radius = _radius(args, default_radius([g]))
     try:
         verts = fixed_set(entry.spec, g, radius)
     except VerdictError as exc:
@@ -256,11 +256,17 @@ def cmd_fixedset(args) -> int:
 
 
 def cmd_axis(args) -> int:
-    from .tree import VerdictError, axis_segment, classify, vertex_json
+    from .tree import (
+        VerdictError,
+        axis_segment,
+        classify,
+        default_radius,
+        vertex_json,
+    )
 
     entry = _load(args.spec)
     g = _parse_elements(entry, [args.word])[0]
-    radius = _radius(args, 2 * len(g.syllables) + 4)
+    radius = _radius(args, default_radius([g]))
     try:
         verts = axis_segment(entry.spec, g, radius)
     except VerdictError as exc:

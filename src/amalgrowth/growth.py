@@ -326,21 +326,19 @@ class Sphere:
     """One sphere of `_levels`, unordered: its packed elements
     (`encode_flat`) as (tail, pend, np, pb) -> disjoint sets of
     bases, x == (base << np * w | pend) << shift | tail and pb ==
-    psi.of(base).  `len`, `in` on packed ints and iteration; `products` and
-    `packed` count the products formed and the prefix ints built to make
-    it, `compared` the bases dedupe tested against older spheres."""
+    psi.of(base).  `len` and iteration; `products` and `packed` count the
+    products formed and the prefix ints built to make it, `compared` the
+    bases dedupe tested against older spheres."""
 
-    __slots__ = ("by_key", "shift", "w", "mask", "psi", "size", "products",
-                 "packed", "compared")
+    __slots__ = ("by_key", "shift", "w", "size", "products", "packed",
+                 "compared")
 
     def __init__(self, by_key: dict[tuple[int, int, int, int], list[set[int]]],
-                 shift: int, w: int, psi: _Psi | _MinPlus, products: int,
-                 packed: int, compared: int):
+                 shift: int, w: int, products: int, packed: int,
+                 compared: int):
         self.by_key = by_key
         self.shift = shift
         self.w = w
-        self.mask = (1 << shift) - 1
-        self.psi = psi
         self.size = sum(map(len, chain.from_iterable(by_key.values())))
         self.products = products
         self.packed = packed
@@ -348,14 +346,6 @@ class Sphere:
 
     def __len__(self) -> int:
         return self.size
-
-    def __contains__(self, x: int) -> bool:
-        p = x >> self.shift
-        np = -(-p.bit_length() // self.w) % BLOCK
-        low = np * self.w
-        base = p >> low
-        key = (x & self.mask, p & ((1 << low) - 1), np, self.psi.of(base))
-        return any(base in bases for bases in self.by_key.get(key, ()))
 
     def __iter__(self):
         shift, w = self.shift, self.w
@@ -410,7 +400,7 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
         raise ValueError("letters are not closed under inversion")
     pb = psi.of(0)
     classes = {(0, one & mask, 0, 0, pb): {0}}
-    sphere = Sphere({(one & mask, 0, 0, pb): [{0}]}, shift, w, psi, 1, 1, 0)
+    sphere = Sphere({(one & mask, 0, 0, pb): [{0}]}, shift, w, 1, 1, 0)
     older: dict[tuple[int, int, int, int], list[set[int]]] = {}
     total = 1
     # products placed element by element; emptied into nxt every level
@@ -496,7 +486,7 @@ def _levels(spec: AmalgamSpec, letters: list[NormalForm],
             for sub, sets in by_key.items():
                 if len(sets) > 1:
                     by_key[sub] = _disjoint(sets)
-        sphere = Sphere(by_key, shift, w, psi, products, packed, compared)
+        sphere = Sphere(by_key, shift, w, products, packed, compared)
         total += len(sphere)
 
 
@@ -572,10 +562,10 @@ def shortest_word(spec: AmalgamSpec, gens: GenSet, g: NormalForm,
         return (0, [])
     named = _named_letters(spec, gens)
     target = encode_flat(spec, g)
-    spheres = []
+    spheres: list[set[int]] = []
     for n, sphere in zip(range(nmax + 1), _levels(spec, [l for _, l in named])):
-        spheres.append(sphere)
-        if target in sphere:
+        spheres.append(set(sphere))
+        if target in spheres[-1]:
             break
     else:
         return None

@@ -45,6 +45,7 @@ from .tree import (
     act,
     axis_segment,
     classify,
+    default_radius,
     displacement,
     fixed_set,
     geodesic,
@@ -300,10 +301,6 @@ def replay(spec: AmalgamSpec, cert: PingPongCertificate) -> bool:
         return False
 
 
-def default_radius(elements: list[NormalForm]) -> int:
-    return 2 * max((len(g.syllables) for g in elements), default=1) + 4
-
-
 def _diag(diagnostics: list[str] | None, msg: str) -> None:
     if diagnostics is not None:
         diagnostics.append(msg)
@@ -334,26 +331,17 @@ def _certificate(spec: AmalgamSpec, kind: str,
                                sets_json, checks, conclusion, data)
 
 
-def _axis_window(spec: AmalgamSpec, g: NormalForm,
-                 cls: Classification) -> list[TreeVertex]:
-    """Axis vertices from g^-1(v) to g(v) around the witness v, ordered in
-    the translation direction."""
+def _forward_edges(spec: AmalgamSpec, g: NormalForm,
+                   cls: Classification) -> list[HalfTree]:
+    """The candidate attracting sets for a hyperbolic g: H(u, w) for each
+    pair (u, w) of consecutive vertices of its axis window, which runs from
+    g^-1(v) to g(v) around the witness v in the translation direction.  g
+    translates its axis by tau >= 2, so it maps each of them into itself
+    (Serre, *Trees*, I.6.4)."""
     back = act(spec, invert(spec, g), cls.witness)
     fwd = act(spec, g, cls.witness)
-    return geodesic(back, cls.witness)[:-1] + geodesic(cls.witness, fwd)
-
-
-def _forward_anchors(spec: AmalgamSpec, g: NormalForm,
-                     cls: Classification) -> list[HalfTree]:
-    """Candidate attracting sets for a hyperbolic g: half-trees anchored on
-    forward edges of its axis window, each verified self-absorbing."""
-    path = _axis_window(spec, g, cls)
-    out = []
-    for u, w in zip(path, path[1:]):
-        h = HalfTree(u, w)
-        if half_tree_subset(image_half_tree(spec, g, h), h):
-            out.append(h)
-    return out
+    path = geodesic(back, cls.witness)[:-1] + geodesic(cls.witness, fwd)
+    return list(map(HalfTree, path, path[1:]))
 
 
 def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
@@ -382,7 +370,7 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
     if any(c.elliptic for c in base_cls):
         _diag(diagnostics, "an element is elliptic; no attracting half-tree")
         return None
-    # (element or its inverse, its forward anchors) per (index, flip), built
+    # (element or its inverse, its forward edges) per (index, flip), built
     # on first use: 2k of them serve all 2^k patterns
     sides: dict[tuple[int, bool], tuple] = {}
 
@@ -390,15 +378,13 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
         if (i, flip) not in sides:
             g = invert(spec, elements[i]) if flip else elements[i]
             c = classify(spec, g) if flip else base_cls[i]
-            sides[i, flip] = g, _forward_anchors(spec, g, c)
+            sides[i, flip] = g, _forward_edges(spec, g, c)
         return sides[i, flip]
 
     patterns = sorted(itertools.product((False, True), repeat=k),
                       key=lambda p: (sum(p), p))
     for pattern in patterns:
         counts["patterns_tried"] += 1
-        if not all(side(i, flip)[1] for i, flip in enumerate(pattern)):
-            continue
         els, anchors = zip(*map(side, range(k), pattern))
         chosen: list[HalfTree] = []
 
@@ -421,7 +407,8 @@ def certify_free_monoid(spec: AmalgamSpec, elements: list[NormalForm],
             continue
         names = [f"x{i+1}" + ("^-1" if flip else "")
                  for i, flip in enumerate(pattern)]
-        # the search verified the inclusions, so this cannot fail
+        # the search verified the disjointness and the cross inclusions, and
+        # x_i(X_i) in X_i holds on every forward edge, so this cannot fail
         return _certificate(
             spec, "free-monoid", list(zip(names, els)),
             [(f"X{i+1}", h) for i, h in enumerate(chosen)], {}, diagnostics)

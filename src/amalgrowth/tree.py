@@ -22,7 +22,6 @@ from .amalgam import (
     AmalgamSpec,
     NormalForm,
     cyclic_reduce,
-    invert,
     multiply,
 )
 
@@ -192,6 +191,12 @@ class VerdictError(ValueError):
     pass
 
 
+def default_radius(elements: list[NormalForm]) -> int:
+    """The search radius when none is given: twice the most syllables of an
+    element, plus 4."""
+    return 2 * max((len(g.syllables) for g in elements), default=1) + 4
+
+
 def fixed_set(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVertex]:
     """All fixed vertices within `radius` of a fixed witness, sorted by
     sort_key; the result is a connected subtree.  Refuses hyperbolic input.
@@ -226,43 +231,3 @@ def axis_segment(spec: AmalgamSpec, g: NormalForm, radius: int) -> list[TreeVert
         if tree_distance(a, b) != 1:
             raise AssertionError("axis segment is not a path at this radius")
     return verts
-
-
-class EllipticProductReport(NamedTuple):
-    applicable: bool
-    passed: bool
-    tau: int | None
-    fix_distance: int | None
-    detail: str
-
-
-def elliptic_product_check(spec: AmalgamSpec, x: NormalForm, y: NormalForm,
-                           radius: int) -> EllipticProductReport:
-    """For elliptic x, y with disjoint fixed sets, verify that x y^-1 is
-    hyperbolic with tau = 2 d(Fix(x), Fix(y)) and that its axis contains the
-    segment between the fixed sets together with its x- and y-images."""
-    for g in (x, y):
-        if not classify(spec, g).elliptic:
-            raise VerdictError("elliptic_product_check requires elliptic inputs")
-    fx = fixed_set(spec, x, radius)
-    fy = fixed_set(spec, y, radius)
-    if set(fx) & set(fy):
-        return EllipticProductReport(False, False, None, None,
-                                     "fixed sets intersect within the radius")
-    d, u, v = nearest_pair(fx, fy)
-    g = multiply(spec, x, invert(spec, y))
-    cls = classify(spec, g)
-    if not cls.hyperbolic or cls.tau != 2 * d:
-        return EllipticProductReport(
-            True, False, cls.tau, d,
-            f"expected hyperbolic with tau={2*d}, got {cls.verdict} tau={cls.tau}")
-    segment = geodesic(u, v)
-    for w in segment:
-        for img in (w, act(spec, x, w), act(spec, y, w)):
-            # img lies on the axis of g iff d(img, g.img) = tau
-            if displacement(spec, g, img) != cls.tau:
-                return EllipticProductReport(
-                    True, False, cls.tau, d, f"axis misses {img}")
-    return EllipticProductReport(True, True, cls.tau, d,
-                                 "tau = 2 d(Fix,Fix); segment and images on axis")
-

@@ -353,8 +353,18 @@ def test_fixedset_and_axis(capsys):
     report = _json_out(capsys)
     assert report["tau"] == 2
     assert len(report["axis"]) >= 3
-    # hyperbolic input to fixedset is an error, not a crash
-    assert cli.main(["fixedset", "c2*c3", "a b"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["axis", "c2*c3", "a"], "axis_segment requires a hyperbolic element"),
+    (["fixedset", "c2*c3", "a b"], "fixed_set requires an elliptic element"),
+    (["root", "--poly", "1", "1"], "no positive real root"),
+])
+def test_refused_input_is_one_error_line(argv, message, capsys):
+    # a verdict or a root the input does not have is an error, not a crash
+    assert cli.main(argv) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_catalog_listing(capsys):

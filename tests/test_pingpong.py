@@ -153,6 +153,41 @@ def test_monoid_certificate_refuses_dependent_pair():
     assert diags
 
 
+@pytest.mark.parametrize("left, right, message, fixed_side", [
+    (None, ["a b"], "need at least two elements", None),
+    ([], ["a b"], "both sides must be nonempty", None),
+    (["a b", "b a"], ["a b b"], "mixed hyperbolic sides must be singletons",
+     None),
+    (["a"], ["a b", "b a"], "the hyperbolic side must be a single element",
+     None),
+    # a and b fix no common vertex: X's side refuses before Y's is read ...
+    (["a", "b"], ["a b"], "no common fixed vertex within radius", ["a", "b"]),
+    # ... and, with X's side fixing a vertex, `_split_elliptic_elliptic`
+    # refuses Y's
+    (["b a b^-1"], ["a", "b"], "no common fixed vertex within radius",
+     ["a", "b"]),
+])
+def test_certificate_searches_refuse_with_a_diagnostic(
+        left, right, message, fixed_side, monkeypatch):
+    # left None: a monoid search over `right`
+    entry = catalog_load("c2*c3")
+    spec = entry.spec
+    read = []
+    real = pingpong._common_fixed
+    monkeypatch.setattr(pingpong, "_common_fixed", lambda spec, gens, radius:
+                        read.append(gens) or real(spec, gens, radius))
+    diags = []
+    if left is None:
+        cert = certify_free_monoid(spec, _elements(entry, *right),
+                                   diagnostics=diags)
+    else:
+        cert = certify_free_split(spec, _elements(entry, *left),
+                                  _elements(entry, *right), diagnostics=diags)
+    assert (cert, diags) == (None, [message])
+    if fixed_side is not None:
+        assert read[-1] == _elements(entry, *fixed_side)
+
+
 def test_monoid_certificate_positive_generators():
     entry = catalog_load("pgl2z")
     elems = _elements(entry, "b c", "a b c")
@@ -228,8 +263,8 @@ def test_monoid_search_matches_the_recorded_search(name, words, sha, patterns,
                                                    anchors, monkeypatch):
     entry = catalog_load(name)
     built = []
-    real = pingpong._forward_anchors
-    monkeypatch.setattr(pingpong, "_forward_anchors",
+    real = pingpong._forward_edges
+    monkeypatch.setattr(pingpong, "_forward_edges",
                         lambda spec, g, cls: built.append(g) or real(spec, g, cls))
     stats = {}
     inputs = _elements(entry, *words)
@@ -238,7 +273,7 @@ def test_monoid_search_matches_the_recorded_search(name, words, sha, patterns,
         _with_older_fields(entry.spec, cert.to_json(), inputs))
     assert (got, stats) == (sha, {"patterns_tried": patterns,
                                   "anchors_tested": anchors})
-    # each (element, inversion) builds its anchors at most once
+    # each (element, inversion) builds its forward edges at most once
     assert len(built) <= 2 * len(words)
 
 
@@ -820,21 +855,23 @@ def test_axes_meeting_outside_the_ball_are_not_settled_early():
     _assert_split_matches_two_axes(spec, x, y, radius)
 
 
+def _form(draw, spec, lo, hi):
+    """A random normal form of lo..hi syllables."""
+    side, syl = draw(st.sampled_from((0, 1))), []
+    for _ in range(draw(st.integers(lo, hi))):
+        syl.append((side, draw(st.sampled_from(
+            spec.transversal(side).reps[1:]))))
+        side = 1 - side
+    return NormalForm(tuple(syl), draw(st.integers(0, spec.C.order - 1)))
+
+
 @st.composite
 def _hyperbolic_pairs(draw):
     # two random forms, the second conjugated by a third to move its axis
     entry = catalog_load(draw(st.sampled_from(catalog_names())))
     spec = entry.spec
-
-    def form(lo, hi):
-        side, syl = draw(st.sampled_from((0, 1))), []
-        for _ in range(draw(st.integers(lo, hi))):
-            syl.append((side, draw(st.sampled_from(
-                spec.transversal(side).reps[1:]))))
-            side = 1 - side
-        return NormalForm(tuple(syl), draw(st.integers(0, spec.C.order - 1)))
-
-    x, y, h = form(2, 6), form(2, 6), form(0, 4)
+    x, y, h = (_form(draw, spec, 2, 6), _form(draw, spec, 2, 6),
+               _form(draw, spec, 0, 4))
     y = multiply(spec, multiply(spec, h, y), invert(spec, h))
     assume(classify(spec, x).hyperbolic and classify(spec, y).hyperbolic)
     return spec, x, y, draw(st.integers(4, 8))
@@ -844,6 +881,34 @@ def _hyperbolic_pairs(draw):
 @given(_hyperbolic_pairs())
 def test_split_of_hyperbolic_pairs_matches_the_two_axes_path(data):
     _assert_split_matches_two_axes(*data)
+
+
+@st.composite
+def _hyperbolic_elements(draw):
+    # a random form conjugated by another, so its axis need not pass the
+    # base edge
+    spec = catalog_load(draw(st.sampled_from(catalog_names()))).spec
+    g, h = _form(draw, spec, 2, 6), _form(draw, spec, 0, 4)
+    g = multiply(spec, multiply(spec, h, g), invert(spec, h))
+    assume(classify(spec, g).hyperbolic)
+    return spec, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hyperbolic_elements())
+def test_every_forward_window_edge_is_absorbing(data):
+    # g translates its axis by tau >= 2, so it maps the half-tree ahead of
+    # each forward edge of its axis window into itself (Serre, Trees,
+    # I.6.4): the monoid search tests no candidate for it
+    spec, g = data
+    for x in (g, invert(spec, g)):
+        cls = classify(spec, x)
+        edges = pingpong._forward_edges(spec, x, cls)
+        for h in edges:
+            assert half_tree_subset(image_half_tree(spec, x, h), h)
+        # one path of 2 tau edges: g^-1(v) to g(v)
+        assert len(edges) == 2 * cls.tau
+        assert all(a.w == b.u for a, b in zip(edges, edges[1:]))
 
 
 def test_split_certificate_elliptic_hyperbolic_without_power_search():

@@ -27,7 +27,6 @@ from amalgrowth.tree import (
     ball,
     classify,
     displacement,
-    elliptic_product_check,
     fixed_set,
     geodesic,
     nearest_pair,
@@ -35,7 +34,7 @@ from amalgrowth.tree import (
     tree_distance,
     witness_holds,
 )
-from amalgrowth.verify import _min_displacement
+from amalgrowth.verify import _elliptic_product, _min_displacement
 
 
 def _bfs_distance(spec, u: TreeVertex, v: TreeVertex,
@@ -351,17 +350,19 @@ def test_geodesic_matches_distance():
 
 
 def test_elliptic_product_translation_length():
-    # x, y elliptic with disjoint fixed sets at distance d: xy is hyperbolic
-    # with translation length 2d
+    # x, y elliptic with disjoint fixed sets at distance d: x y^-1 is
+    # hyperbolic with translation length 2d; fixed sets that meet give no
+    # verdict
     entry = catalog_load("c2*c3")
+    spec = entry.spec
     x = entry.alphabet["a"]
     y = entry.alphabet["b"]
-    report = elliptic_product_check(entry.spec, x, y, 8)
-    assert report.applicable and report.passed
-    g = multiply(entry.spec, x, invert(entry.spec, y))
-    cls = classify(entry.spec, g)
+    assert _elliptic_product(spec, x, y, 8) is True
+    assert _elliptic_product(spec, x, x, 8) is None
+    d, _, _ = nearest_pair(fixed_set(spec, x, 8), fixed_set(spec, y, 8))
+    cls = classify(spec, multiply(spec, x, invert(spec, y)))
     assert cls.hyperbolic
-    assert cls.tau == report.tau == 2 * report.fix_distance
+    assert cls.tau == 2 * d
 
 
 def test_nearest_pair_breaks_ties_by_sort_key():
